@@ -37,7 +37,11 @@ Two formats:
 * ``MXFP4``: blocks of 32 share a UE8M0 (power-of-two) scale, no tensor
   scale.  The stored scale is the smallest power of two >= amax_b / 6, which
   makes encoding saturation-free by construction but can leave the top two
-  magnitude codes unused when amax_b sits just above a power of two.
+  magnitude codes unused when amax_b sits just above a power of two; an
+  element's error is at most amax_b / 3.  Scales clamp at the smallest code,
+  2^-127, so elements at most 2^-129 round to zero there, and a block whose
+  amax is at most 2^-129 flushes to zero: its error bound is
+  max(amax_b / 3, 2^-129).
 
 Scaling layouts tile a (R, C) tensor with (1, L) row segments, (L, 1) column
 segments, or 16x16 squares.  Tensors are zero-padded up to block multiples
@@ -47,7 +51,7 @@ row-major order over the block grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,10 +61,11 @@ from .codecs import (
     E4M3_SMALLEST_POSITIVE,
     E4M3_SMALLEST_POSITIVE_CODE,
     NEAREST,
-    NonFiniteInputError,
     QuantizationError,
     RoundingMode,
     ScaleRangeError,
+    Stochastic,
+    check_finite,
     decode_e2m1,
     decode_e4m3,
     decode_ue8m0,
@@ -151,6 +156,12 @@ class BlockMap:
         return slice(r * br, (r + 1) * br), slice(c * bc, (c + 1) * bc)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = np.asarray(a).view()
+    view.flags.writeable = False
+    return view
+
+
 def _ceil_to(n: int, m: int) -> int:
     return -(-n // m) * m
 
@@ -190,36 +201,11 @@ def _from_blocks(blocks: np.ndarray, bm: BlockMap) -> np.ndarray:
                   .reshape(bm.padded_shape))
 
 
-def expand_scales(grid_values: np.ndarray, bm: BlockMap) -> np.ndarray:
-    """Broadcast per-block values from the grid to the padded tensor shape."""
-    br, bc = bm.block_shape
-    return np.repeat(np.repeat(grid_values, br, axis=0), bc, axis=1)
-
-
-@dataclass(frozen=True)
-class BlockStats:
-    """Per-block and tensor-level magnitude maxima."""
-
-    amax_blocks: np.ndarray  # grid_shape
-    amax_tensor: float
-    block_map: BlockMap
-
-
-def block_stats(x, layout: ScalingLayout) -> BlockStats:
-    x = _check_input(x)
-    bm = block_decompose(x.shape, layout)
-    blocks = _to_blocks(_pad(x, bm), bm)
-    amax_b = np.abs(blocks).max(axis=1).reshape(bm.grid_shape)
-    return BlockStats(amax_b, float(np.abs(x).max()), bm)
-
-
 def _check_input(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise LayoutError("block quantization expects a 2-D tensor")
-    if not np.isfinite(x).all():
-        bad = np.argwhere(~np.isfinite(x))[0]
-        raise NonFiniteInputError(f"non-finite input at index {tuple(bad)}")
+    check_finite(x)
     return x
 
 
@@ -229,7 +215,9 @@ class QuantizedTensor:
 
     codes cover the zero-padded shape; scale_codes are uint8 over the block
     grid.  global_decode_scale is the tensor-level decode scale (required
-    for nvfp4, absent for mxfp4).
+    for nvfp4, absent for mxfp4).  codes and scale_codes are held as
+    read-only views, so the block map and the decoded values derived from
+    them are computed once.
     """
 
     shape: tuple[int, int]
@@ -238,9 +226,14 @@ class QuantizedTensor:
     layout: ScalingLayout
     fmt: FormatSpec
     global_decode_scale: float | None
+    _block_map: BlockMap = field(init=False, repr=False, compare=False)
+    _unscaled: np.ndarray | None = field(default=None, init=False, repr=False,
+                                         compare=False)
 
     def __post_init__(self):
-        bm = self.block_map
+        self.codes = _read_only(self.codes)
+        self.scale_codes = _read_only(self.scale_codes)
+        self._block_map = bm = block_decompose(self.shape, self.layout)
         if tuple(self.codes.shape) != bm.padded_shape:
             raise LayoutError("code array does not match padded shape")
         if tuple(self.scale_codes.shape) != bm.grid_shape:
@@ -256,13 +249,29 @@ class QuantizedTensor:
 
     @property
     def block_map(self) -> BlockMap:
-        return block_decompose(self.shape, self.layout)
+        return self._block_map
 
     def scale_values(self) -> np.ndarray:
         """Per-block decode scales (before the tensor-level scale)."""
         if self.fmt.scale_codec == "e4m3":
             return decode_e4m3(self.scale_codes)
         return decode_ue8m0(self.scale_codes)
+
+    def unscaled_values(self) -> np.ndarray:
+        """Code values times their block decode scales over the padded
+        shape, before the tensor-level scale; read-only, computed on first
+        use.  Every product is exact: a code value has at most two
+        significant bits and a block scale at most four, and neither
+        product nor scale leaves the normal binary64 range."""
+        if self._unscaled is None:
+            bm = self._block_map
+            br, bc = bm.block_shape
+            gr, gc = bm.grid_shape
+            vals = decode_e2m1(self.codes)
+            blocks = vals.reshape(gr, br, gc, bc)  # a view of vals
+            blocks *= self.scale_values()[:, None, :, None]
+            self._unscaled = _read_only(vals)
+        return self._unscaled
 
     def dequantize(self) -> np.ndarray:
         return dequantize(self)
@@ -317,6 +326,15 @@ def nvfp4_block_scales(amax_blocks: np.ndarray, s_enc: float,
     return codes, enc
 
 
+def _sr_counters(mode: RoundingMode, bm: BlockMap) -> np.ndarray | None:
+    """Padded-tensor element positions in block order, which key the
+    stochastic-rounding uniforms; nearest-even rounding reads none."""
+    if not isinstance(mode, Stochastic):
+        return None
+    positions = np.arange(bm.padded_shape[0] * bm.padded_shape[1], dtype=np.int64)
+    return _to_blocks(positions.reshape(bm.padded_shape), bm)
+
+
 def quantize_nvfp4(x, layout: ScalingLayout = rows1d(16),
                    mode: RoundingMode = NEAREST) -> QuantizedTensor:
     """Encode a 2-D tensor as nvfp4 under `layout`.
@@ -333,9 +351,8 @@ def quantize_nvfp4(x, layout: ScalingLayout = rows1d(16),
     amax_b = np.abs(blocks).max(axis=1)
     s_enc, s_dec = global_encode_scale(float(np.abs(x).max()))
     scale_codes, enc = nvfp4_block_scales(amax_b, s_enc, s_dec)
-    counters = _to_blocks(
-        np.arange(xp.size, dtype=np.int64).reshape(xp.shape), bm)
-    codes = encode_e2m1(blocks * enc[:, None], mode, counters=counters)
+    codes = encode_e2m1(blocks * enc[:, None], mode,
+                        counters=_sr_counters(mode, bm))
     return QuantizedTensor(
         shape=tuple(x.shape),
         codes=_from_blocks(codes, bm).astype(np.uint8),
@@ -358,15 +375,17 @@ def quantize_mxfp4(x, layout: ScalingLayout = rows1d(32),
     blocks = _to_blocks(xp, bm)
     amax_b = np.abs(blocks).max(axis=1)
     # Round the ideal scale UP to a power of two: the scaled amax then never
-    # exceeds 6, so encoding cannot saturate.
+    # exceeds 6, so encoding cannot saturate.  Scales below 2^-127 clamp to
+    # it, including an ideal scale that underflows to zero (amax_b of a few
+    # subnormals).
     scale_codes = np.zeros(bm.n_blocks, dtype=np.uint8)
     nz = amax_b > 0
     if nz.any():
-        scale_codes[nz] = encode_ue8m0_roundup(amax_b[nz] / E2M1_MAX)
+        scale_codes[nz] = encode_ue8m0_roundup(
+            np.maximum(amax_b[nz] / E2M1_MAX, 2.0 ** -127))
     decoded = decode_ue8m0(scale_codes)
-    counters = _to_blocks(
-        np.arange(xp.size, dtype=np.int64).reshape(xp.shape), bm)
-    codes = encode_e2m1(blocks / decoded[:, None], mode, counters=counters)
+    codes = encode_e2m1(blocks / decoded[:, None], mode,
+                        counters=_sr_counters(mode, bm))
     return QuantizedTensor(
         shape=tuple(x.shape),
         codes=_from_blocks(codes, bm).astype(np.uint8),
@@ -402,9 +421,7 @@ def encode_multipliers(q: QuantizedTensor) -> np.ndarray:
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:
     """Decode to binary64 and crop the zero padding."""
-    bm = q.block_map
-    vals = decode_e2m1(q.codes) * expand_scales(q.scale_values(), bm)
-    if q.fmt.has_tensor_scale:
-        vals = vals * q.global_decode_scale
+    vals = q.unscaled_values()
+    vals = vals * q.global_decode_scale if q.fmt.has_tensor_scale else vals.copy()
     r, c = q.shape
     return vals[:r, :c]

@@ -35,7 +35,13 @@ from .blockquant import (
     rows1d,
     square2d,
 )
-from .codecs import NEAREST, NonFiniteInputError, QuantizationError, Stochastic
+from .codecs import (
+    NEAREST,
+    NonFiniteInputError,
+    QuantizationError,
+    Stochastic,
+    check_finite,
+)
 from .hadamard import HadamardSpec
 from .harness import (
     VARIANTS,
@@ -74,14 +80,6 @@ def _read_wide(path: str) -> np.ndarray:
     if isinstance(t, QuantizedTensor):
         raise TensorFileError(f"{path} holds a quantized tensor, expected wide")
     return t
-
-
-def _check_finite(x: np.ndarray, path: str) -> None:
-    bad = ~np.isfinite(x)
-    if bad.any():
-        i = int(np.argmax(bad.reshape(-1)))
-        raise NonFiniteInputError(
-            f"{path}: non-finite value at flat index {i}: {x.reshape(-1)[i]!r}")
 
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -311,7 +309,7 @@ def _load_config(path: str):
 
 def _cmd_quantize(args) -> int:
     x = _read_wide(args.input)
-    _check_finite(x, args.input)
+    check_finite(x, f"{args.input}: ")
     fmt = FORMATS[args.format]
     layout = _LAYOUTS[args.layout]() if args.layout else rows1d(fmt.block_len)
     mode = (Stochastic(key_parts=("cli-quantize", args.seed))
@@ -335,7 +333,7 @@ def _cmd_dequantize(args) -> int:
 
 def _cmd_analyze(args) -> int:
     x = _read_wide(args.input)
-    _check_finite(x, args.input)
+    check_finite(x, f"{args.input}: ")
     names = args.format or ["nvfp4", "mxfp4"]
     reports = []
     for name in names:

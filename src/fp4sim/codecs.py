@@ -77,11 +77,14 @@ NEAREST = NearestEven()
 RoundingMode = NearestEven | Stochastic
 
 
-def _check_finite(x: np.ndarray, what: str) -> None:
-    if not np.isfinite(x).all():
-        bad = np.argwhere(~np.isfinite(x))
-        raise NonFiniteInputError(f"non-finite {what} at flat index "
-                                  f"{tuple(bad[0])}: cannot encode")
+def check_finite(x: np.ndarray, where: str = "") -> None:
+    """Raise NonFiniteInputError naming the first NaN or infinity of x by its
+    row-major flat index and value; where, if given, prefixes the message."""
+    finite = np.isfinite(x)
+    if not finite.all():
+        i = int(np.argmin(finite.reshape(-1)))
+        raise NonFiniteInputError(f"{where}non-finite value at flat index {i}: "
+                                  f"{float(x.reshape(-1)[i])!r}")
 
 
 def encode_e2m1(x, mode: RoundingMode = NEAREST, counters=None) -> np.ndarray:
@@ -92,7 +95,7 @@ def encode_e2m1(x, mode: RoundingMode = NEAREST, counters=None) -> np.ndarray:
     sr_round using the given counter array (element positions by default).
     """
     x = np.asarray(x, dtype=np.float64)
-    _check_finite(x, "input")
+    check_finite(x)
     if isinstance(mode, Stochastic):
         vals = sr_round(x, mode, counters=counters)
         return encode_e2m1(vals, NEAREST)
@@ -100,10 +103,15 @@ def encode_e2m1(x, mode: RoundingMode = NEAREST, counters=None) -> np.ndarray:
     # Cumulative threshold walk; the >=/> alternation encodes ties-to-even:
     # 0.25 -> 0.0, 0.75 -> 1.0, 1.25 -> 1.0, 1.75 -> 2.0, 2.5 -> 2.0,
     # 3.5 -> 4.0, 5.0 -> 4.0.
-    idx = ((m > 0.25).astype(np.int64) + (m >= 0.75) + (m > 1.25)
-           + (m >= 1.75) + (m > 2.5) + (m >= 3.5) + (m > 5.0))
-    neg = np.signbit(x) & (idx > 0)
-    return (idx | (neg.astype(np.int64) << 3)).astype(np.uint8)
+    idx = (m > 0.25).astype(np.uint8)
+    idx += m >= 0.75
+    idx += m > 1.25
+    idx += m >= 1.75
+    idx += m > 2.5
+    idx += m >= 3.5
+    idx += m > 5.0
+    idx |= (np.signbit(x) & (idx > 0)).astype(np.uint8) << 3
+    return idx
 
 
 def decode_e2m1(codes) -> np.ndarray:
@@ -122,9 +130,11 @@ def sr_round(x, stream: Stochastic, counters=None) -> np.ndarray:
     The element at counter c consumes the stream uniform at position c.
     """
     x = np.asarray(x, dtype=np.float64)
-    _check_finite(x, "input")
+    check_finite(x)
     xc = np.clip(x, -E2M1_MAX, E2M1_MAX)
-    j = np.searchsorted(E2M1_GRID, xc, side="right")  # grid[j-1] <= xc
+    j = (xc >= E2M1_GRID[0]).astype(np.uint8)  # grid[j-1] <= xc < grid[j]
+    for point in E2M1_GRID[1:]:
+        j += xc >= point
     lo = E2M1_GRID[j - 1]
     hi = E2M1_GRID[np.minimum(j, len(E2M1_GRID) - 1)]
     width = hi - lo
@@ -160,7 +170,7 @@ def encode_e4m3(x) -> np.ndarray:
     """Round-to-nearest-even onto the E4M3 grid; |x| > 448 saturates to
     +-448 rather than producing the NaN code.  Zero encodes as +0."""
     x = np.asarray(x, dtype=np.float64)
-    _check_finite(x, "scale")
+    check_finite(x)
     mag = np.abs(x)
     j = np.searchsorted(_E4M3_POS_GRID, mag)  # grid[j-1] < mag <= grid[j]
     lo = np.maximum(j - 1, 0)

@@ -8,13 +8,27 @@ scales; descaled partials accumulate across K-blocks in ascending block
 order; finally the tensor-level decode scales multiply once.  Results are
 therefore bitwise reproducible and independent of how the inner products
 were scheduled.
+
+scaled_gemm computes this contract with one binary64 matmul of the unscaled
+decoded operands U_a and U_b (code value times block scale, both exact) when
+exact arithmetic certifies that the matmul cannot round.  Every product of
+an element of U_a and one of U_b is an integer multiple of the grid
+g = 0.25 * g_a * g_b, where g_a is the smallest lowest set bit over the
+nonzero block scales of A (code values are multiples of 0.5), and g_b the
+same for B.  When max_i sum_k |U_a[i, k]| * max |U_b| < 2^52 * g, every
+product and every partial sum is an exactly representable multiple of g, so
+the matmul equals the block loop bit for bit in any summation order, fused
+multiply-adds included.  The certificate uses 2^52, not 2^53, so that the
+bound, itself computed in binary64, cannot round below its true value.  The
+block loop runs instead when the bound fails, when an operand has no
+nonzero block scale, or for accumulate="f32".
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .blockquant import QuantizedTensor, block_decompose, expand_scales
+from .blockquant import QuantizedTensor
 from .codecs import decode_e2m1
 
 
@@ -32,7 +46,6 @@ def _operand_scales(q: QuantizedTensor, side: str) -> np.ndarray:
     Returns (padded_rows, n_kblocks) for side "a" or (n_kblocks, padded_cols)
     for side "b", where K-blocks tile the contracted dimension.
     """
-    bm = q.block_map
     vals = q.scale_values()
     if q.layout.kind == "square":
         tile = q.layout.block_shape[0]
@@ -70,28 +83,63 @@ def scaled_gemm(qa: QuantizedTensor, qb: QuantizedTensor,
     if block_k != block_k_b:
         raise GemmError("operands decompose K with different block lengths")
 
-    bma = qa.block_map
-    bmb = qb.block_map
-    kp = bma.padded_shape[1]
-    if kp != bmb.padded_shape[0]:
+    kp = qa.block_map.padded_shape[1]
+    if kp != qb.block_map.padded_shape[0]:
         raise GemmError("padded inner dimensions differ")
 
+    if accumulate == "f64" and _certified_exact(qa, qb, m, n):
+        out = qa.unscaled_values()[:m] @ qb.unscaled_values()[:, :n]
+        # BLAS leaves the sign of an exactly-zero sum open; the loop gives +0
+        out += 0.0
+    else:
+        out = _block_loop(qa, qb, block_k, accumulate)[:m, :n]
+    if qa.fmt.has_tensor_scale:
+        out *= qa.global_decode_scale * qb.global_decode_scale
+    return out
+
+
+def _lowest_scale_bit(q: QuantizedTensor) -> float:
+    """Smallest lowest set bit over the nonzero block scales of q (0.0 when
+    every scale is zero): every scale is an integer multiple of it."""
+    s = q.scale_values()
+    s = s[s > 0]
+    if s.size == 0:
+        return 0.0
+    mant, exp = np.frexp(s)
+    ints = (mant * 2.0 ** 53).astype(np.int64)
+    return float(np.ldexp(ints & -ints, exp - 53).min())
+
+
+def _certified_exact(qa: QuantizedTensor, qb: QuantizedTensor,
+                     m: int, n: int) -> bool:
+    """Whether the first m rows of qa's unscaled values times the first n
+    columns of qb's are exact in any summation order (module docstring)."""
+    grid = 0.25 * _lowest_scale_bit(qa) * _lowest_scale_bit(qb)
+    if grid == 0.0:
+        return False
+    ua, ub = qa.unscaled_values()[:m], qb.unscaled_values()[:, :n]
+    bound = np.abs(ua).sum(axis=1).max() * max(ub.max(), -ub.min())
+    return bool(bound < 2.0 ** 52 * grid)
+
+
+def _block_loop(qa: QuantizedTensor, qb: QuantizedTensor, block_k: int,
+                accumulate: str) -> np.ndarray:
+    """The contract computed literally, block by block, over the padded
+    shapes: the reference that the certified product must equal."""
     va = decode_e2m1(qa.codes)
     vb = decode_e2m1(qb.codes)
     sa = _operand_scales(qa, "a")  # (padded_m, kp/block_k)
     sb = _operand_scales(qb, "b")  # (kp/block_k, padded_n)
+    kp = va.shape[1]
 
     dtype = np.float64 if accumulate == "f64" else np.float32
-    out = np.zeros((bma.padded_shape[0], bmb.padded_shape[1]), dtype=dtype)
+    out = np.zeros((va.shape[0], vb.shape[1]), dtype=dtype)
     for kb_i in range(kp // block_k):
         sl = slice(kb_i * block_k, (kb_i + 1) * block_k)
         partial = va[:, sl] @ vb[sl, :]  # exact: dyadic values, short sums
         term = sa[:, kb_i, None] * sb[None, kb_i, :] * partial
         out += term.astype(dtype, copy=False)
-    out = out.astype(np.float64)
-    if qa.fmt.has_tensor_scale:
-        out *= qa.global_decode_scale * qb.global_decode_scale
-    return out[:m, :n]
+    return out.astype(np.float64)
 
 
 def transpose_quantized_view(q: QuantizedTensor) -> QuantizedTensor:

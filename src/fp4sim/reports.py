@@ -22,7 +22,7 @@ from .blockquant import (
     quantize,
     rows1d,
 )
-from .codecs import E2M1_MAX, RoundingMode, NEAREST, decode_e2m1
+from .codecs import E2M1_MAX, E2M1_VALUES, RoundingMode, NEAREST
 from .hadamard import HadamardSpec, apply_rht_tiled
 
 
@@ -78,8 +78,8 @@ def quantization_stats(x: np.ndarray, q: QuantizedTensor) -> TensorReport:
     amax = float(np.abs(x).max())
     amax_rel = abs(float(np.abs(deq).max()) - amax) / amax if amax else 0.0
 
-    code_mag = np.abs(decode_e2m1(q.codes))
-    block_max = _to_blocks(code_mag, bm).max(axis=1)
+    # E2M1 magnitudes rise with the low three code bits
+    block_max = E2M1_VALUES[_to_blocks(q.codes & 7, bm).max(axis=1)]
     active = block_max > 0
     if active.any():
         util = np.log2(block_max[active] / 0.5)

@@ -29,6 +29,7 @@ from fp4sim.codecs import (
     NonFiniteInputError,
     QuantizationError,
     ScaleRangeError,
+    decode_e2m1,
     decode_e4m3,
 )
 
@@ -309,12 +310,25 @@ def test_nvfp4_min_amax_precondition():
 @settings(max_examples=50, deadline=None)
 @given(arrays(np.float64, (2, 32),
               elements=st.floats(min_value=-100, max_value=100, width=64)))
+@example(np.full((2, 32), 1e-40))  # flushes to zero: an error of 1.0 * amax_b
 def test_mxfp4_elementwise_error_bound(x):
     q = quantize_mxfp4(x, rows1d(32))
     deq = dequantize(q)
     amax_b = np.abs(x).max(axis=1, keepdims=True)
-    # round-up scaling can waste a binade: gaps up to amax/3
-    assert np.all(np.abs(deq - x) <= amax_b / 3 + 1e-30)
+    # round-up scaling can waste a binade: gaps up to amax/3; under the
+    # clamped scale 2^-127 a block whose amax is at most 2^-129 flushes to 0
+    bound = np.maximum(amax_b / 3, 2.0 ** -129)
+    assert np.all(np.abs(deq - x) <= bound * (1 + 4 * np.finfo(np.float64).eps))
+
+
+def test_mxfp4_subnormal_block_flushes_to_zero():
+    # amax_b / 6 underflows to zero here; the scale still clamps to 2^-127
+    x = np.full((2, 32), 5e-324)
+    x[1] = 1.0
+    q = quantize_mxfp4(x, rows1d(32))
+    assert q.scale_codes[0, 0] == 0
+    deq = dequantize(q)
+    assert not deq[0].any() and np.array_equal(deq[1], x[1])
 
 
 def test_quantize_rejects_nonfinite():
@@ -322,6 +336,38 @@ def test_quantize_rejects_nonfinite():
     bad[1, 3] = np.inf
     with pytest.raises(NonFiniteInputError):
         quantize_nvfp4(bad)
+
+
+def test_quantize_nonfinite_message_names_flat_index():
+    bad = np.ones((2, 16))
+    bad[1, 3] = -np.inf
+    with pytest.raises(NonFiniteInputError,
+                       match="^non-finite value at flat index 19: -inf$"):
+        quantize_nvfp4(bad)
+    with pytest.raises(NonFiniteInputError, match="flat index 35: -inf$"):
+        quantize_mxfp4(np.pad(bad, ((0, 0), (0, 16))))
+
+
+# --- decoded values ------------------------------------------------------------
+
+@pytest.mark.parametrize("fmt, layout", [
+    (NVFP4, rows1d(16)), (NVFP4, cols1d(16)), (NVFP4, square2d()),
+    (MXFP4, rows1d(32)), (MXFP4, cols1d(32))])
+def test_unscaled_values_cached_read_only_and_exact(fmt, layout):
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((37, 45)) * rng.lognormal(0.0, 2.0, (37, 1))
+    q = quantize(x, fmt, layout)
+    br, bc = q.block_map.block_shape
+    scales = np.repeat(np.repeat(q.scale_values(), br, axis=0), bc, axis=1)
+    want = decode_e2m1(q.codes) * scales
+    u = q.unscaled_values()
+    assert np.array_equal(u, want) and q.unscaled_values() is u
+    for arr in (u, q.codes, q.scale_codes):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1
+    deq = dequantize(q)
+    deq += 1.0  # dequantize returns a fresh array, never the cache
+    assert np.array_equal(q.unscaled_values(), want)
 
 
 # --- QuantizedTensor validation ------------------------------------------------

@@ -71,6 +71,14 @@ def test_e2m1_rejects_nonfinite():
         encode_e2m1(np.array([np.inf]))
 
 
+def test_nonfinite_message_names_flat_index_and_value():
+    with pytest.raises(NonFiniteInputError,
+                       match=r"^non-finite value at flat index 1: nan$"):
+        encode_e2m1([[1.0, np.nan], [0.0, 0.0]])
+    with pytest.raises(NonFiniteInputError, match=r"flat index 3: -inf$"):
+        encode_e4m3(np.array([[0.0, 1.0], [2.0, -np.inf]]))
+
+
 def test_decode_e2m1_rejects_wide_codes():
     with pytest.raises(InvalidCodeError):
         decode_e2m1(np.array([16]))

@@ -1,6 +1,12 @@
+import hashlib
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from fp4sim import gemm
 from fp4sim.blockquant import (
     MXFP4,
     NVFP4,
@@ -155,3 +161,105 @@ def test_requantization_agrees_on_representable_values():
     qc = quantize(vals, NVFP4, cols1d(16))
     assert np.array_equal(dequantize(qr), vals)
     assert np.array_equal(dequantize(qc), vals)
+
+
+# --- the certified one-matmul path against the block loop ----------------------
+
+_LAYOUT_PAIRS = {
+    "nvfp4 rows/cols": (NVFP4, rows1d(16), cols1d(16)),
+    "nvfp4 square": (NVFP4, square2d(), square2d()),
+    "nvfp4 rows/square": (NVFP4, rows1d(16), square2d()),
+    "mxfp4 rows/cols": (MXFP4, rows1d(32), cols1d(32)),
+}
+
+
+def _lognormal_pair(pair, m, k, n, sigma, seed):
+    fmt, layout_a, layout_b = _LAYOUT_PAIRS[pair]
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, k)) * rng.lognormal(0.0, sigma, (m, 1))
+    b = rng.standard_normal((k, n))
+    return quantize(a, fmt, layout_a), quantize(b, fmt, layout_b)
+
+
+def _loop_gemm(qa, qb, accumulate="f64"):
+    """The block loop with the tensor-level scales applied."""
+    block_k = 16 if qa.layout.kind == "square" else qa.layout.block_shape[1]
+    out = gemm._block_loop(qa, qb, block_k, accumulate)[:qa.shape[0], :qb.shape[1]]
+    if qa.fmt.has_tensor_scale:
+        out = out * (qa.global_decode_scale * qb.global_decode_scale)
+    return out
+
+
+def _lowest_bit(q):
+    """Smallest lowest set bit of the nonzero block scales, in exact rationals."""
+    bits = []
+    for s in np.unique(q.scale_values()):
+        if s > 0:
+            f = Fraction(float(s))
+            bits.append(Fraction(f.numerator & -f.numerator, f.denominator))
+    return min(bits)
+
+
+def _bound_ratio(qa, qb):
+    """The certificate's bound over its limit 2^52 * g."""
+    ua = qa.unscaled_values()[:qa.shape[0]]
+    ub = qb.unscaled_values()[:, :qb.shape[1]]
+    bound = (Fraction(float(np.abs(ua).sum(axis=1).max()))
+             * Fraction(float(np.abs(ub).max())))
+    grid = Fraction(1, 4) * _lowest_bit(qa) * _lowest_bit(qb)
+    return float(bound / (2 ** 52 * grid))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=st.sampled_from(sorted(_LAYOUT_PAIRS)), m=st.integers(1, 70),
+       k=st.integers(1, 70), n=st.integers(1, 70),
+       sigma=st.floats(0.0, 8.0), seed=st.integers(0, 2 ** 32 - 1))
+@example(pair="mxfp4 rows/cols", m=5, k=40, n=7, sigma=7.69, seed=10)
+@example(pair="mxfp4 rows/cols", m=5, k=40, n=7, sigma=7.88, seed=106)
+def test_certified_gemm_is_bitwise_block_loop(pair, m, k, n, sigma, seed):
+    qa, qb = _lognormal_pair(pair, m, k, n, sigma, seed)
+    assert scaled_gemm(qa, qb).tobytes() == _loop_gemm(qa, qb).tobytes()
+
+
+@pytest.mark.parametrize("sigma, seed, certified", [(7.69, 10, True),
+                                                    (7.88, 106, False)])
+def test_certificate_examples_straddle_the_bound(sigma, seed, certified):
+    # the two pinned examples above sit within a factor of 2 of the bound
+    qa, qb = _lognormal_pair("mxfp4 rows/cols", 5, 40, 7, sigma, seed)
+    ratio = _bound_ratio(qa, qb)
+    assert 0.5 <= ratio < 2 and (ratio < 1) == certified
+    assert gemm._certified_exact(qa, qb, 5, 7) == certified
+
+
+def test_exact_zero_entries_are_positive_zero():
+    rng = np.random.default_rng(12)
+    a = -np.abs(rng.standard_normal((16, 32)))
+    b = rng.standard_normal((32, 16))
+    b[:, 3] = 0.0
+    qa, qb = quantize(a, NVFP4, rows1d(16)), quantize(b, NVFP4, cols1d(16))
+    assert gemm._certified_exact(qa, qb, 16, 16)
+    col = scaled_gemm(qa, qb)[:, 3]
+    assert (col == 0).all() and not np.signbit(col).any()
+
+
+def _digest(out):
+    return hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()
+
+
+def test_outputs_match_pinned_block_loop_digests():
+    # digests of the block loop's outputs, taken before the certified path
+    # existed; the f32 accumulator rounds 29 of these entries
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((40, 200)) * np.exp(rng.normal(0, 3.0, (40, 200)))
+    b = rng.standard_normal((200, 24))
+    qa, qb = quantize(a, NVFP4, rows1d(16)), quantize(b, NVFP4, cols1d(16))
+    assert _digest(scaled_gemm(qa, qb)) == (
+        "39f3efc021bfe6be0c451739b58a524b13270bed98a77a3b944e37c90213e1a8")
+    assert _digest(scaled_gemm(qa, qb, accumulate="f32")) == (
+        "d1f37c7902344071e48b64705f3c6ff78c297eea27402acbca29b66fcbf49b54")
+    for fmt, square, want in (
+            (NVFP4, True, "b53608f1bdaee9e34287c0cb593005922259d771213af28afbfd0def34a538d0"),
+            (MXFP4, False, "9b9b41637ff040373ea2ad207efd0c95fb6f20997dc13ad23b3e6cbeb2674757")):
+        qa, qb = _pair(np.random.default_rng(11), fmt, m=40, k=72, n=24,
+                       square_weight=square)
+        assert _digest(scaled_gemm(qa, qb)) == want
