@@ -65,12 +65,12 @@ from .codecs import (
     RoundingMode,
     ScaleRangeError,
     Stochastic,
+    _encode_e2m1,
+    _encode_e4m3,
     check_finite,
     decode_e2m1,
     decode_e4m3,
     decode_ue8m0,
-    encode_e2m1,
-    encode_e4m3,
     encode_ue8m0_roundup,
 )
 
@@ -205,8 +205,18 @@ def _check_input(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise LayoutError("block quantization expects a 2-D tensor")
-    check_finite(x)
     return x
+
+
+def _block_amax(x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Per-block max |x|, which also checks x: a NaN or infinity anywhere
+    makes its block's amax non-finite, and then check_finite(x) names it.
+    This is the quantizers' one finiteness check; the encoders they call
+    do not check again (except sr_round, which is public)."""
+    amax_b = np.abs(blocks).max(axis=1)
+    if not np.isfinite(amax_b).all():
+        check_finite(x)
+    return amax_b
 
 
 @dataclass
@@ -315,10 +325,10 @@ def nvfp4_block_scales(amax_blocks: np.ndarray, s_enc: float,
     stored-scale product.  All-zero blocks store the smallest positive scale
     code (a zero code would make the encode multiplier undefined); blocks
     whose scale underflows E4M3 to zero get a zero multiplier, which zeroes
-    their codes.
+    their codes.  amax_blocks must be finite; it is not checked again.
     """
     target = (amax_blocks / E2M1_MAX) * s_enc
-    codes = encode_e4m3(target)
+    codes = _encode_e4m3(target)
     codes[amax_blocks == 0] = E4M3_SMALLEST_POSITIVE_CODE
     decoded = decode_e4m3(codes)
     with np.errstate(divide="ignore"):
@@ -348,11 +358,11 @@ def quantize_nvfp4(x, layout: ScalingLayout = rows1d(16),
     bm = block_decompose(x.shape, layout)
     xp = _pad(x, bm)
     blocks = _to_blocks(xp, bm)
-    amax_b = np.abs(blocks).max(axis=1)
-    s_enc, s_dec = global_encode_scale(float(np.abs(x).max()))
+    amax_b = _block_amax(x, blocks)
+    s_enc, s_dec = global_encode_scale(float(amax_b.max()))
     scale_codes, enc = nvfp4_block_scales(amax_b, s_enc, s_dec)
-    codes = encode_e2m1(blocks * enc[:, None], mode,
-                        counters=_sr_counters(mode, bm))
+    codes = _encode_e2m1(blocks * enc[:, None], mode,
+                         counters=_sr_counters(mode, bm))
     return QuantizedTensor(
         shape=tuple(x.shape),
         codes=_from_blocks(codes, bm).astype(np.uint8),
@@ -373,7 +383,7 @@ def quantize_mxfp4(x, layout: ScalingLayout = rows1d(32),
     bm = block_decompose(x.shape, layout)
     xp = _pad(x, bm)
     blocks = _to_blocks(xp, bm)
-    amax_b = np.abs(blocks).max(axis=1)
+    amax_b = _block_amax(x, blocks)
     # Round the ideal scale UP to a power of two: the scaled amax then never
     # exceeds 6, so encoding cannot saturate.  Scales below 2^-127 clamp to
     # it, including an ideal scale that underflows to zero (amax_b of a few
@@ -384,8 +394,8 @@ def quantize_mxfp4(x, layout: ScalingLayout = rows1d(32),
         scale_codes[nz] = encode_ue8m0_roundup(
             np.maximum(amax_b[nz] / E2M1_MAX, 2.0 ** -127))
     decoded = decode_ue8m0(scale_codes)
-    codes = encode_e2m1(blocks / decoded[:, None], mode,
-                        counters=_sr_counters(mode, bm))
+    codes = _encode_e2m1(blocks / decoded[:, None], mode,
+                         counters=_sr_counters(mode, bm))
     return QuantizedTensor(
         shape=tuple(x.shape),
         codes=_from_blocks(codes, bm).astype(np.uint8),

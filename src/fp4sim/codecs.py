@@ -96,9 +96,14 @@ def encode_e2m1(x, mode: RoundingMode = NEAREST, counters=None) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     check_finite(x)
+    return _encode_e2m1(x, mode, counters)
+
+
+def _encode_e2m1(x: np.ndarray, mode: RoundingMode, counters) -> np.ndarray:
+    """encode_e2m1 of a float64 array the caller has checked to be finite;
+    only sr_round checks again."""
     if isinstance(mode, Stochastic):
-        vals = sr_round(x, mode, counters=counters)
-        return encode_e2m1(vals, NEAREST)
+        x = sr_round(x, mode, counters=counters)
     m = np.abs(x)
     # Cumulative threshold walk; the >=/> alternation encodes ties-to-even:
     # 0.25 -> 0.0, 0.75 -> 1.0, 1.25 -> 1.0, 1.75 -> 2.0, 2.5 -> 2.0,
@@ -171,6 +176,11 @@ def encode_e4m3(x) -> np.ndarray:
     +-448 rather than producing the NaN code.  Zero encodes as +0."""
     x = np.asarray(x, dtype=np.float64)
     check_finite(x)
+    return _encode_e4m3(x)
+
+
+def _encode_e4m3(x: np.ndarray) -> np.ndarray:
+    """encode_e4m3 of a float64 array the caller has checked to be finite."""
     mag = np.abs(x)
     j = np.searchsorted(_E4M3_POS_GRID, mag)  # grid[j-1] < mag <= grid[j]
     lo = np.maximum(j - 1, 0)

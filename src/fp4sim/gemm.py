@@ -29,7 +29,6 @@ from __future__ import annotations
 import numpy as np
 
 from .blockquant import QuantizedTensor
-from .codecs import decode_e2m1
 
 
 class GemmError(ValueError):
@@ -38,21 +37,6 @@ class GemmError(ValueError):
 
 class NotTransposableError(GemmError):
     pass
-
-
-def _operand_scales(q: QuantizedTensor, side: str) -> np.ndarray:
-    """Block decode scales expanded along the non-contracted axis.
-
-    Returns (padded_rows, n_kblocks) for side "a" or (n_kblocks, padded_cols)
-    for side "b", where K-blocks tile the contracted dimension.
-    """
-    vals = q.scale_values()
-    if q.layout.kind == "square":
-        tile = q.layout.block_shape[0]
-        if side == "a":
-            return np.repeat(vals, tile, axis=0)
-        return np.repeat(vals, tile, axis=1)
-    return vals
 
 
 def scaled_gemm(qa: QuantizedTensor, qb: QuantizedTensor,
@@ -92,7 +76,7 @@ def scaled_gemm(qa: QuantizedTensor, qb: QuantizedTensor,
         # BLAS leaves the sign of an exactly-zero sum open; the loop gives +0
         out += 0.0
     else:
-        out = _block_loop(qa, qb, block_k, accumulate)[:m, :n]
+        out = _block_loop(qa, qb, block_k, accumulate)
     if qa.fmt.has_tensor_scale:
         out *= qa.global_decode_scale * qb.global_decode_scale
     return out
@@ -124,20 +108,21 @@ def _certified_exact(qa: QuantizedTensor, qb: QuantizedTensor,
 
 def _block_loop(qa: QuantizedTensor, qb: QuantizedTensor, block_k: int,
                 accumulate: str) -> np.ndarray:
-    """The contract computed literally, block by block, over the padded
-    shapes: the reference that the certified product must equal."""
-    va = decode_e2m1(qa.codes)
-    vb = decode_e2m1(qb.codes)
-    sa = _operand_scales(qa, "a")  # (padded_m, kp/block_k)
-    sb = _operand_scales(qb, "b")  # (kp/block_k, padded_n)
-    kp = va.shape[1]
+    """The contract computed literally, block by block, over the output's
+    rows and columns: the reference that the certified product must equal.
 
+    Each K-block product of the unscaled values is exactly that block's code
+    partial descaled by s_a * s_b: every term is s_a * s_b times a multiple
+    of 0.25, and the partial, below 2^11 * s_a * s_b, has at most 21
+    significant bits (a scale has at most 4) and stays in the normal range
+    even at 2^-127 * 2^-127.
+    """
+    ua = qa.unscaled_values()[:qa.shape[0]]
+    ub = qb.unscaled_values()[:, :qb.shape[1]]
     dtype = np.float64 if accumulate == "f64" else np.float32
-    out = np.zeros((va.shape[0], vb.shape[1]), dtype=dtype)
-    for kb_i in range(kp // block_k):
-        sl = slice(kb_i * block_k, (kb_i + 1) * block_k)
-        partial = va[:, sl] @ vb[sl, :]  # exact: dyadic values, short sums
-        term = sa[:, kb_i, None] * sb[None, kb_i, :] * partial
+    out = np.zeros((ua.shape[0], ub.shape[1]), dtype=dtype)
+    for k0 in range(0, ua.shape[1], block_k):
+        term = ua[:, k0:k0 + block_k] @ ub[k0:k0 + block_k]
         out += term.astype(dtype, copy=False)
     return out.astype(np.float64)
 

@@ -7,6 +7,12 @@ H @ H.T = I, applying H to the K-segments of A and H.T to the matching
 K-segments of B leaves A @ B unchanged in exact arithmetic while making the
 individual operand entries closer to Gaussian, which is what the block
 encoders prefer.
+
+apply_rht_tiled promises the rounding of the plain product loop: every
+product rounded on its own and summed from +0.0 in ascending input index.
+Its kernel keeps that order while sharing the partial sums that the
+Sylvester sign pattern makes equal; a fast Walsh-Hadamard butterfly would
+add in another order and change the bits.
 """
 
 from __future__ import annotations
@@ -72,27 +78,92 @@ def build_hadamard(spec: HadamardSpec) -> np.ndarray:
     return _build_hadamard_cached(spec)
 
 
-def apply_rht_tiled(x, spec: HadamardSpec, h: np.ndarray | None = None) -> np.ndarray:
+# Tiles per chunk times d: one chunk's scratch (inputs, partial sums and a
+# product buffer, about 2.5 * 2^15 doubles) stays within a core's L2 cache.
+_CHUNK_ELEMS = 1 << 15
+
+
+def apply_rht_tiled(x, spec: HadamardSpec) -> np.ndarray:
     """Multiply every d-length segment along the last axis by H.
 
-    Each row segment v becomes v @ H.  Accumulation runs in ascending input
-    index so the result is bitwise reproducible regardless of tiling or
-    batching.  The last axis must be a multiple of d (callers pad first).
+    With h = build_hadamard(spec), each row segment v becomes v @ h, and
+    output j of a segment is exactly
+
+        (((+0.0 + v[0] * h[0, j]) + v[1] * h[1, j]) + ...) + v[d-1] * h[d-1, j]
+
+    in binary64: the sum starts at +0.0, runs in ascending input index, and
+    rounds every product on its own (no fused multiply-add).  The result is
+    therefore bitwise reproducible regardless of tiling or batching.  It has
+    the memory layout of np.zeros_like(x.reshape(m, k // d, d)) reshaped to
+    (m, k): an F-ordered x gives an F-ordered result.  The last axis must be
+    a multiple of d (callers pad first).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionError("expected a 2-D operand")
     m, k = x.shape
-    if k % spec.d:
+    d = spec.d
+    if k % d:
         raise DimensionError(
-            f"last axis {k} is not a multiple of the transform size {spec.d}")
-    if h is None:
-        h = build_hadamard(spec)
-    xr = x.reshape(m, k // spec.d, spec.d)
-    out = np.zeros_like(xr)
-    for i in range(spec.d):
-        out += xr[:, :, i, None] * h[i]
+            f"last axis {k} is not a multiple of the transform size {d}")
+    h = build_hadamard(spec)
+    xr = x.reshape(m, k // d, d)
+    # zeros_like's layout, as documented: sums downstream run in memory order
+    out = np.empty_like(xr)
+    tiles = xr.shape[1]
+    per_chunk = max(1, _CHUNK_ELEMS // d)
+    ct = max(1, min(tiles, per_chunk))
+    cr = per_chunk // ct
+    size = d * min(m, cr) * ct
+    t_buf, acc_buf, prod_buf = np.empty(size), np.empty(size), np.empty(size // 2)
+    for r0 in range(0, m, cr):
+        for t0 in range(0, tiles, ct):
+            src = xr[r0:r0 + cr, t0:t0 + ct]
+            n = src.shape[0] * src.shape[1]
+            t = t_buf[:d * n].reshape(d, src.shape[0], src.shape[1])
+            np.copyto(t, src.transpose(2, 0, 1))
+            acc = acc_buf[:d * n].reshape(d, n)
+            _transform_tiles(t.reshape(d, n), h, acc,
+                             prod_buf[:d * n // 2].reshape(d // 2, n))
+            out[r0:r0 + cr, t0:t0 + ct] = acc.reshape(t.shape).transpose(1, 2, 0)
     return out.reshape(m, k)
+
+
+def _transform_tiles(t, h, acc, prod) -> None:
+    """The sums of apply_rht_tiled for the tiles in the columns of t (d, n),
+    written to acc (d, n); prod (d/2, n) is scratch.
+
+    An input that is zero in every tile is skipped: its products are +-0.0,
+    the running sum starts at +0.0 and can never become -0.0, and adding
+    +-0.0 to it changes nothing.  Over inputs i < 2w (w a power of two),
+    h[i, j] depends only on j mod 2w (Sylvester order), and so do the
+    partial sums: acc keeps one row per distinct partial sum.  For i in
+    [w, 2w) and j < w, h[i, j + w] = -h[i, j] exactly, so output j + w
+    subtracts the product that output j adds, which is adding the product
+    the plain loop adds.
+    """
+    d = t.shape[0]
+    live = t.any(axis=1)
+    acc[0] = 0.0
+    if live[0]:
+        np.multiply(t[0], h[0, 0], out=prod[0])
+        acc[0] += prod[0]
+    period, w = 1, 1
+    while w < d:
+        rows = np.flatnonzero(live[w:2 * w])
+        if rows.size:
+            # outputs j and j mod period have had the same sums so far
+            acc[:2 * w].reshape(2 * w // period, period, -1)[1:] = acc[:period]
+            period = 2 * w
+            lo, hi, p = acc[:w], acc[w:2 * w], prod[:w]
+            stage_h, stage_t = h[w:2 * w, :w, None], t[w:2 * w]
+            for i in rows.tolist():
+                np.multiply(stage_h[i], stage_t[i], out=p)
+                np.add(lo, p, out=lo)
+                np.subtract(hi, p, out=hi)
+        w *= 2
+    if period < d:
+        acc.reshape(d // period, period, -1)[1:] = acc[:period]
 
 
 def rht_pair_identity_check(a, b, spec: HadamardSpec) -> float:

@@ -66,7 +66,9 @@ def quantization_stats(x: np.ndarray, q: QuantizedTensor) -> TensorReport:
         sqnr = 10.0 * np.log10(sig / noise)
 
     nz = x != 0
-    max_rel = float(np.abs(err[nz] / x[nz]).max()) if nz.any() else 0.0
+    # zeros where x is zero leave the max over the nonzero ratios unchanged
+    rel = np.divide(err, x, out=np.zeros_like(x), where=nz)
+    max_rel = float(np.abs(rel, out=rel).max())
     rel_fro = float(np.linalg.norm(err) / np.linalg.norm(x)) if sig else 0.0
 
     bm = q.block_map

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fp4sim import blockquant, codecs
 from fp4sim.blockquant import (
     FORMATS,
     LayoutError,
@@ -29,6 +30,7 @@ from fp4sim.codecs import (
     NonFiniteInputError,
     QuantizationError,
     ScaleRangeError,
+    Stochastic,
     decode_e2m1,
     decode_e4m3,
 )
@@ -346,6 +348,30 @@ def test_quantize_nonfinite_message_names_flat_index():
         quantize_nvfp4(bad)
     with pytest.raises(NonFiniteInputError, match="flat index 35: -inf$"):
         quantize_mxfp4(np.pad(bad, ((0, 0), (0, 16))))
+
+
+@pytest.mark.parametrize("fmt, layout", [(NVFP4, cols1d(16)), (NVFP4, square2d()),
+                                         (MXFP4, rows1d(32))])
+def test_quantize_makes_one_finiteness_pass(monkeypatch, fmt, layout):
+    # The block amax checks the input; only sr_round, being public, checks
+    # its operand again.  Before, an SR quantize made five full passes.
+    checked = []
+    real = codecs.check_finite
+
+    def counting(x, where=""):
+        checked.append(np.size(x))
+        return real(x, where)
+
+    monkeypatch.setattr(codecs, "check_finite", counting)
+    monkeypatch.setattr(blockquant, "check_finite", counting)
+    x = np.random.default_rng(4).standard_normal((40, 64))
+    quantize(x, fmt, layout)
+    assert checked == []
+    q = quantize(x, fmt, layout, Stochastic(("finite-once",)))
+    assert checked == [q.codes.size]  # the padded blocks sr_round rounds
+    x[17, 5] = np.nan
+    with pytest.raises(NonFiniteInputError, match="flat index 1093: nan$"):
+        quantize(x, fmt, layout)
 
 
 # --- decoded values ------------------------------------------------------------

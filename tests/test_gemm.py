@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fp4sim import gemm
+from fp4sim import blockquant, codecs, gemm
 from fp4sim.blockquant import (
     MXFP4,
     NVFP4,
@@ -229,6 +229,26 @@ def test_certificate_examples_straddle_the_bound(sigma, seed, certified):
     ratio = _bound_ratio(qa, qb)
     assert 0.5 <= ratio < 2 and (ratio < 1) == certified
     assert gemm._certified_exact(qa, qb, 5, 7) == certified
+
+
+def test_uncertified_product_reuses_decoded_values(monkeypatch):
+    # the block loop multiplies the cached unscaled values; it decodes no
+    # codes and expands no scales a second time
+    qa, qb = _lognormal_pair("mxfp4 rows/cols", 5, 40, 7, 7.88, 106)
+    assert not gemm._certified_exact(qa, qb, 5, 7)
+    qa.unscaled_values(), qb.unscaled_values()
+    decodes = []
+    real = codecs.decode_e2m1
+
+    def counting(codes):
+        decodes.append(codes.shape)
+        return real(codes)
+
+    for module in (codecs, blockquant, gemm):
+        monkeypatch.setattr(module, "decode_e2m1", counting, raising=False)
+    scaled_gemm(qa, qb)
+    scaled_gemm(qa, qb, accumulate="f32")
+    assert decodes == []
 
 
 def test_exact_zero_entries_are_positive_zero():
