@@ -226,8 +226,8 @@ class QuantizedTensor:
     codes cover the zero-padded shape; scale_codes are uint8 over the block
     grid.  global_decode_scale is the tensor-level decode scale (required
     for nvfp4, absent for mxfp4).  codes and scale_codes are held as
-    read-only views, so the block map and the decoded values derived from
-    them are computed once.
+    read-only views, so the block map, the decoded block scales and the
+    decoded values derived from them are computed once.
     """
 
     shape: tuple[int, int]
@@ -237,6 +237,8 @@ class QuantizedTensor:
     fmt: FormatSpec
     global_decode_scale: float | None
     _block_map: BlockMap = field(init=False, repr=False, compare=False)
+    _scales: np.ndarray | None = field(default=None, init=False, repr=False,
+                                       compare=False)
     _unscaled: np.ndarray | None = field(default=None, init=False, repr=False,
                                          compare=False)
 
@@ -262,10 +264,12 @@ class QuantizedTensor:
         return self._block_map
 
     def scale_values(self) -> np.ndarray:
-        """Per-block decode scales (before the tensor-level scale)."""
-        if self.fmt.scale_codec == "e4m3":
-            return decode_e4m3(self.scale_codes)
-        return decode_ue8m0(self.scale_codes)
+        """Per-block decode scales (before the tensor-level scale) over the
+        block grid; read-only, computed on first use."""
+        if self._scales is None:
+            decode = decode_e4m3 if self.fmt.scale_codec == "e4m3" else decode_ue8m0
+            self._scales = _read_only(decode(self.scale_codes))
+        return self._scales
 
     def unscaled_values(self) -> np.ndarray:
         """Code values times their block decode scales over the padded

@@ -87,6 +87,22 @@ def check_finite(x: np.ndarray, where: str = "") -> None:
                                   f"{float(x.reshape(-1)[i])!r}")
 
 
+# Elements per chunk of the element-wise codecs: the chunk and its
+# temporaries stay in a core's L2 cache.
+_CHUNK = 1 << 15
+
+
+def _chunks(operands: list, dtypes: list) -> np.nditer:
+    """Iterator over 1-D chunks of at most _CHUNK elements, in the memory
+    order of the inputs; a None operand is an output that numpy allocates
+    with the layout an element-wise ufunc over the inputs would give."""
+    flags = [["readonly"] if op is not None else ["writeonly", "allocate"]
+             for op in operands]
+    return np.nditer(operands, flags=["external_loop", "buffered", "zerosize_ok"],
+                     op_flags=flags, op_dtypes=dtypes, order="K",
+                     buffersize=_CHUNK)
+
+
 def encode_e2m1(x, mode: RoundingMode = NEAREST, counters=None) -> np.ndarray:
     """Map values to 4-bit codes.
 
@@ -101,22 +117,32 @@ def encode_e2m1(x, mode: RoundingMode = NEAREST, counters=None) -> np.ndarray:
 
 def _encode_e2m1(x: np.ndarray, mode: RoundingMode, counters) -> np.ndarray:
     """encode_e2m1 of a float64 array the caller has checked to be finite;
-    only sr_round checks again."""
+    only sr_round checks again.  The codes keep x's memory layout."""
     if isinstance(mode, Stochastic):
         x = sr_round(x, mode, counters=counters)
+    with _chunks([x, None], [np.float64, np.uint8]) as it:
+        for xs, codes in it:
+            _e2m1_walk(xs, codes)
+        out = it.operands[1]
+    return out if out.ndim else out[()]
+
+
+def _e2m1_walk(x: np.ndarray, codes: np.ndarray) -> None:
+    """Write the nearest-even codes of the 1-D chunk x into codes."""
     m = np.abs(x)
     # Cumulative threshold walk; the >=/> alternation encodes ties-to-even:
     # 0.25 -> 0.0, 0.75 -> 1.0, 1.25 -> 1.0, 1.75 -> 2.0, 2.5 -> 2.0,
     # 3.5 -> 4.0, 5.0 -> 4.0.
-    idx = (m > 0.25).astype(np.uint8)
-    idx += m >= 0.75
-    idx += m > 1.25
-    idx += m >= 1.75
-    idx += m > 2.5
-    idx += m >= 3.5
-    idx += m > 5.0
-    idx |= (np.signbit(x) & (idx > 0)).astype(np.uint8) << 3
-    return idx
+    np.greater(m, 0.25, out=codes)
+    codes += m >= 0.75
+    codes += m > 1.25
+    codes += m >= 1.75
+    codes += m > 2.5
+    codes += m >= 3.5
+    codes += m > 5.0
+    neg = np.signbit(x)
+    neg &= codes > 0
+    codes |= neg.view(np.uint8) << 3
 
 
 def decode_e2m1(codes) -> np.ndarray:
@@ -124,6 +150,36 @@ def decode_e2m1(codes) -> np.ndarray:
     if codes.size and (codes.min() < 0 or codes.max() > 15):
         raise InvalidCodeError("E2M1 codes must be 4-bit patterns")
     return E2M1_VALUES[codes]
+
+
+def _sr_brackets() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grid bracket (lo, hi) and 1 / (hi - lo) of every value, keyed by its
+    top 13 bits: sign, exponent and first mantissa bit.
+
+    Every E2M1 magnitude is the smallest magnitude of one such bucket, so
+    a bucket lies within one bracket [lo, hi] of adjacent grid points.  A
+    negative bucket holds magnitudes in [|hi|, |lo|), so its one grid
+    point, x = hi, gets p_hi = 1 and rounds to itself, as it must.
+    Magnitudes of 6 and above get lo = hi = +-6 and 1 / gap = 0, which is
+    the clamp.  The gaps are powers of two, so multiplying by 1 / gap
+    rounds exactly as dividing by the gap does.
+    """
+    key = np.arange(1 << 13, dtype=np.uint64)
+    bottom = np.abs((key << 51).view(np.float64))
+    pos = E2M1_GRID[E2M1_GRID >= 0]
+    j = np.searchsorted(pos, bottom, side="right") - 1
+    lo_mag, hi_mag = pos[j], pos[np.minimum(j + 1, len(pos) - 1)]
+    neg = key >> 12 == 1
+    lo = np.where(neg, -hi_mag, lo_mag)
+    hi = np.where(neg, -lo_mag, hi_mag) + 0.0  # the grid holds +0.0 only
+    gap = hi - lo
+    inv_gap = np.divide(1.0, gap, out=np.zeros_like(gap), where=gap > 0)
+    for t in (lo, hi, inv_gap):
+        t.setflags(write=False)
+    return lo, hi, inv_gap
+
+
+_SR_LO, _SR_HI, _SR_INV_GAP = _sr_brackets()
 
 
 def sr_round(x, stream: Stochastic, counters=None) -> np.ndarray:
@@ -136,18 +192,18 @@ def sr_round(x, stream: Stochastic, counters=None) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     check_finite(x)
-    xc = np.clip(x, -E2M1_MAX, E2M1_MAX)
-    j = (xc >= E2M1_GRID[0]).astype(np.uint8)  # grid[j-1] <= xc < grid[j]
-    for point in E2M1_GRID[1:]:
-        j += xc >= point
-    lo = E2M1_GRID[j - 1]
-    hi = E2M1_GRID[np.minimum(j, len(E2M1_GRID) - 1)]
-    width = hi - lo
-    p_hi = np.where(width > 0, (xc - lo) / np.where(width > 0, width, 1.0), 0.0)
     if counters is None:
         counters = np.arange(x.size, dtype=np.int64).reshape(x.shape)
     u = uniforms_at(stream.key(), counters)
-    return np.where(u < p_hi, hi, lo)
+    with _chunks([u, x, None], [np.float64] * 3) as it:
+        for us, xs, out in it:
+            # a logical shift, then int64 so the gathers need no cast
+            key = (xs.view(np.uint64) >> 51).view(np.int64)
+            lo = _SR_LO[key]
+            p_hi = xs - lo
+            p_hi *= _SR_INV_GAP[key]
+            out[...] = np.where(us < p_hi, _SR_HI[key], lo)
+        return it.operands[2]
 
 
 # --- E4M3 ------------------------------------------------------------------
@@ -165,8 +221,8 @@ def _e4m3_table() -> np.ndarray:
 
 E4M3_VALUES = _e4m3_table()
 E4M3_VALUES.setflags(write=False)
-_E4M3_POS_GRID = E4M3_VALUES[:127]  # finite non-negative values, ascending
 E4M3_MAX = 448.0
+E4M3_MIN_NORMAL = 2.0 ** -6
 E4M3_SMALLEST_POSITIVE = 2.0 ** -9
 E4M3_SMALLEST_POSITIVE_CODE = 0x01
 
@@ -180,19 +236,23 @@ def encode_e4m3(x) -> np.ndarray:
 
 
 def _encode_e4m3(x: np.ndarray) -> np.ndarray:
-    """encode_e4m3 of a float64 array the caller has checked to be finite."""
-    mag = np.abs(x)
-    j = np.searchsorted(_E4M3_POS_GRID, mag)  # grid[j-1] < mag <= grid[j]
-    lo = np.maximum(j - 1, 0)
-    hi = np.minimum(j, len(_E4M3_POS_GRID) - 1)
-    d_lo = mag - _E4M3_POS_GRID[lo]
-    d_hi = _E4M3_POS_GRID[hi] - mag
-    idx = np.where(d_hi < d_lo, hi, lo)
-    tie = d_hi == d_lo
-    idx = np.where(tie, np.where(lo % 2 == 0, lo, hi), idx)
-    idx = np.where(mag > E4M3_MAX, 126, idx)
-    neg = np.signbit(x) & (idx > 0)
-    return (idx + (neg.astype(np.int64) << 7)).astype(np.uint8)
+    """encode_e4m3 of a float64 array the caller has checked to be finite.
+
+    Normal range: round the binary64 bit pattern to nearest-even at mantissa
+    bit 3 (a carry moves into the exponent), then rebias the exponent from
+    1023 to 7.  Below 2^-6 the codes count multiples of 2^-9, and rint
+    rounds those ties to even.  Everything above 448 saturates to code 126.
+    The codes are C-ordered, whatever the layout of x.
+    """
+    mag = np.abs(x, out=np.empty(np.shape(x)))
+    bits = mag.view(np.uint64)
+    rne = (bits + ((bits >> 49) & 1) + ((1 << 48) - 1)) >> 49
+    code = rne.view(np.int64) - ((1023 - 7) << 3)
+    sub = np.rint(np.minimum(mag, E4M3_MIN_NORMAL) * 2.0 ** 9)
+    code = np.where(mag < E4M3_MIN_NORMAL, sub.astype(np.int64), code)
+    code = np.minimum(code, 126).astype(np.uint8)
+    neg = np.signbit(x) & (code > 0)
+    return code | (neg.view(np.uint8) << 7)
 
 
 def decode_e4m3(codes) -> np.ndarray:

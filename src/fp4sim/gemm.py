@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blockquant import QuantizedTensor
+from .blockquant import QuantizedTensor, _read_only
 
 
 class GemmError(ValueError):
@@ -141,7 +141,7 @@ def transpose_quantized_view(q: QuantizedTensor) -> QuantizedTensor:
         raise NotTransposableError(
             "block scales along one axis do not transpose; requantize along "
             "the new dot-product dimension")
-    return QuantizedTensor(
+    view = QuantizedTensor(
         shape=(q.shape[1], q.shape[0]),
         codes=np.ascontiguousarray(q.codes.T),
         scale_codes=np.ascontiguousarray(q.scale_codes.T),
@@ -149,6 +149,9 @@ def transpose_quantized_view(q: QuantizedTensor) -> QuantizedTensor:
         fmt=q.fmt,
         global_decode_scale=q.global_decode_scale,
     )
+    # the decoded scales transpose with their codes; decode them only once
+    view._scales = _read_only(np.ascontiguousarray(q.scale_values().T))
+    return view
 
 
 def dequant_matmul(qa: QuantizedTensor, qb: QuantizedTensor) -> np.ndarray:

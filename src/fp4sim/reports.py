@@ -22,7 +22,7 @@ from .blockquant import (
     quantize,
     rows1d,
 )
-from .codecs import E2M1_MAX, E2M1_VALUES, RoundingMode, NEAREST
+from .codecs import E2M1_MAX, E2M1_VALUES, NEAREST, RoundingMode, _chunks
 from .hadamard import HadamardSpec, apply_rht_tiled
 
 
@@ -65,20 +65,13 @@ def quantization_stats(x: np.ndarray, q: QuantizedTensor) -> TensorReport:
     else:
         sqnr = 10.0 * np.log10(sig / noise)
 
-    nz = x != 0
-    # zeros where x is zero leave the max over the nonzero ratios unchanged
-    rel = np.divide(err, x, out=np.zeros_like(x), where=nz)
-    max_rel = float(np.abs(rel, out=rel).max())
     rel_fro = float(np.linalg.norm(err) / np.linalg.norm(x)) if sig else 0.0
+    max_rel, underflow, amax_deq = _element_extremes(x, deq, err)
 
     bm = q.block_map
-    blocks = _to_blocks(_pad(x, bm), bm)
-    scaled = blocks * encode_multipliers(q).reshape(-1)[:, None]
-    saturated = int(np.count_nonzero(np.abs(scaled) > E2M1_MAX))
-    underflow = int(np.count_nonzero(nz & (deq == 0.0)))
-
-    amax = float(np.abs(x).max())
-    amax_rel = abs(float(np.abs(deq).max()) - amax) / amax if amax else 0.0
+    amax, saturated = _amax_saturated(_to_blocks(_pad(x, bm), bm),
+                                      encode_multipliers(q).reshape(-1))
+    amax_rel = abs(amax_deq - amax) / amax if amax else 0.0
 
     # E2M1 magnitudes rise with the low three code bits
     block_max = E2M1_VALUES[_to_blocks(q.codes & 7, bm).max(axis=1)]
@@ -102,6 +95,40 @@ def quantization_stats(x: np.ndarray, q: QuantizedTensor) -> TensorReport:
         binade_utilization_min=util_min,
         n_blocks=bm.n_blocks,
     )
+
+
+def _element_extremes(x: np.ndarray, deq: np.ndarray,
+                      err: np.ndarray) -> tuple[float, int, float]:
+    """max |err / x| over the nonzero x, the number of nonzero x that
+    decode to zero, and max |deq|, over cache-sized chunks.  Maxima and
+    counts do not depend on the order the chunks come in."""
+    max_rel = amax_deq = np.float64(0.0)
+    underflow = 0
+    with _chunks([x, deq, err], [np.float64] * 3) as it:
+        for xs, ds, es in it:
+            zero = xs == 0
+            # err / inf is a zero, which leaves the max unchanged
+            rel = np.abs(es / np.where(zero, np.inf, xs))
+            max_rel = np.maximum(max_rel, rel.max())
+            underflow += int(np.count_nonzero(~zero & (ds == 0.0)))
+            amax_deq = np.maximum(amax_deq, np.abs(ds).max())
+    return float(max_rel), underflow, float(amax_deq)
+
+
+def _amax_saturated(blocks: np.ndarray, enc: np.ndarray) -> tuple[float, int]:
+    """max |x| over the blocks, and the number of elements whose scaled
+    magnitude |x * enc_b| exceeds E2M1_MAX, over cache-sized chunks.
+    |x| * enc_b equals |x * enc_b|, because enc_b >= 0 and rounding is
+    symmetric."""
+    amax = np.float64(0.0)
+    saturated = 0
+    with _chunks([blocks, enc[:, None]], [np.float64] * 2) as it:
+        for xs, es in it:
+            mag = np.abs(xs)
+            amax = np.maximum(amax, mag.max())
+            mag *= es
+            saturated += int(np.count_nonzero(mag > E2M1_MAX))
+    return float(amax), saturated
 
 
 def analyze_tensor(x, fmt: FormatSpec, layout: ScalingLayout | None = None,

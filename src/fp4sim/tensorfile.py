@@ -21,11 +21,19 @@ codes per byte (low nibble first, row-major), followed by the scale-code
 grid as raw uint8, row-major.  The header fully determines the payload
 length; a length mismatch is a format error.  Writes go through a temp
 file and os.replace so readers never observe partial files.
+
+The reader also rejects, naming the field or byte offset: zero rows or
+cols, header fields that contradict the format, an nvfp4 tensor scale
+that is not positive or would decode past the float64 range, and block
+scale codes the encoders never write (E4M3 with the sign bit set or the
+NaN pattern, UE8M0 0xFF).
 """
 
 from __future__ import annotations
 
+import math
 import os
+import stat
 import struct
 import tempfile
 
@@ -33,6 +41,7 @@ import numpy as np
 
 from .blockquant import (
     FORMATS,
+    FormatSpec,
     QuantizedTensor,
     ScalingLayout,
     block_decompose,
@@ -40,6 +49,7 @@ from .blockquant import (
     rows1d,
     square2d,
 )
+from .codecs import E2M1_MAX, E4M3_MAX
 
 MAGIC = b"FP4T"
 VERSION = 1
@@ -55,12 +65,12 @@ class TensorFileError(ValueError):
     """Malformed container: bad magic, version, header fields, or length."""
 
 
-def _pack_codes(codes: np.ndarray) -> bytes:
-    flat = codes.astype(np.uint8).reshape(-1)
-    if flat.size % 2:
-        flat = np.concatenate([flat, np.zeros(1, np.uint8)])
-    pairs = flat.reshape(-1, 2)
-    return (pairs[:, 0] | (pairs[:, 1] << 4)).astype(np.uint8).tobytes()
+def _pack_codes(codes: np.ndarray) -> np.ndarray:
+    """Codes packed two per byte, low nibble first, in row-major order."""
+    flat = codes.reshape(-1)
+    packed = flat[0::2].astype(np.uint8)
+    packed[:flat.size // 2] |= flat[1::2].astype(np.uint8) << 4
+    return packed
 
 
 def _unpack_codes(raw: np.ndarray, padded_shape: tuple[int, int]) -> np.ndarray:
@@ -73,17 +83,25 @@ def _unpack_codes(raw: np.ndarray, padded_shape: tuple[int, int]) -> np.ndarray:
     return flat[:n].reshape(padded_shape)
 
 
-def _atomic_write(path: str, blob: bytes) -> None:
+def _atomic_write(path: str, buffers) -> None:
+    """Write the buffers one after another to a temp file, then rename it
+    over path, so readers never observe a partial file."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(blob)
+            for buf in buffers:
+                f.write(buf)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _bytes_of(a: np.ndarray) -> memoryview:
+    """The C-contiguous array a as a flat byte buffer, without a copy."""
+    return memoryview(a).cast("B")
 
 
 def write_tensor(path: str, t: np.ndarray | QuantizedTensor) -> None:
@@ -93,70 +111,147 @@ def write_tensor(path: str, t: np.ndarray | QuantizedTensor) -> None:
             _KIND_BYTE[t.layout.kind], t.layout.block_len, 0,
             t.shape[0], t.shape[1],
             0.0 if t.global_decode_scale is None else t.global_decode_scale)
-        payload = _pack_codes(t.codes) + t.scale_codes.astype(np.uint8).tobytes()
+        scales = np.ascontiguousarray(t.scale_codes, dtype=np.uint8)
+        payload = [_bytes_of(_pack_codes(t.codes)), _bytes_of(scales)]
     else:
         x = np.asarray(t, dtype=np.float64)
-        if x.ndim != 2:
-            raise TensorFileError("wide tensors must be 2-D")
+        if x.ndim != 2 or x.size == 0:
+            raise TensorFileError(
+                "wide tensors must be 2-D with at least one row and column")
         header = _HEADER.pack(MAGIC, VERSION, 0, 0, 0, 0, 0,
                               x.shape[0], x.shape[1], 0.0)
-        payload = np.ascontiguousarray(x).tobytes()
-    _atomic_write(path, header + payload)
+        payload = [_bytes_of(np.ascontiguousarray(x))]
+    _atomic_write(path, [header, *payload])
 
 
-def _layout_from_bytes(kind_byte: int, block_len: int) -> ScalingLayout:
+def _layout_from_bytes(kind_byte: int, block_len: int,
+                       fmt: FormatSpec) -> ScalingLayout:
     kind = _KIND_NAME.get(kind_byte)
     if kind is None:
-        raise TensorFileError(f"unknown layout kind byte {kind_byte}")
-    if kind == "rows":
-        return rows1d(block_len)
-    if kind == "cols":
-        return cols1d(block_len)
-    if block_len != 16:
-        raise TensorFileError("square layout requires block length 16")
-    return square2d()
+        raise TensorFileError(f"unknown layout kind byte {kind_byte} at offset 7")
+    if kind == "square":
+        if block_len != 16 or fmt.block_len != 16:
+            raise TensorFileError(
+                f"square layout requires block length 16 and a block-16 "
+                f"format; block_len at offset 8 is {block_len}, format "
+                f"{fmt.name}")
+        return square2d()
+    if block_len != fmt.block_len:
+        raise TensorFileError(
+            f"block_len at offset 8 is {block_len}; {fmt.name} uses "
+            f"{fmt.block_len}")
+    return rows1d(block_len) if kind == "rows" else cols1d(block_len)
+
+
+def _read_exact(f, a: np.ndarray, offset: int) -> None:
+    """Fill the C-contiguous array a from f, which is at byte offset."""
+    got = f.readinto(_bytes_of(a))
+    if got != a.nbytes:
+        raise TensorFileError(
+            f"payload ends at byte {offset + got}, expected {a.nbytes} bytes "
+            f"from offset {offset}")
+
+
+def _check_payload_length(f, expected: int, kind: str) -> None:
+    """Compare a regular file's payload length with the header's before
+    the payload is allocated.  A pipe has no length to compare; its
+    payload is checked as it is read."""
+    st = os.fstat(f.fileno())
+    if stat.S_ISREG(st.st_mode) and st.st_size - _HEADER.size != expected:
+        raise TensorFileError(f"{kind} payload length "
+                              f"{st.st_size - _HEADER.size} != expected {expected}")
+
+
+def _payload_array(shape, dtype) -> np.ndarray:
+    """Room for a payload.  A pipe's payload size comes from the header
+    alone, and a corrupt header can ask for more than can be allocated."""
+    try:
+        return np.empty(shape, dtype)
+    except (ValueError, MemoryError) as e:
+        raise TensorFileError(f"payload of shape {shape} cannot be "
+                              f"allocated: {e}") from None
+
+
+def _check_end(f, offset: int) -> None:
+    if f.read(1):
+        raise TensorFileError(f"payload continues past its end at byte {offset}")
+
+
+def _check_scale_codes(scales: np.ndarray, fmt: FormatSpec, offset: int) -> None:
+    """Reject block scale codes the encoders never write: E4M3 codes with
+    the sign bit set or the NaN pattern, and the UE8M0 code 0xFF."""
+    if fmt.scale_codec == "e4m3":
+        bad = (scales & 0x80 != 0) | (scales == 0x7F)
+        what = "E4M3 scale code with the sign bit set or the NaN pattern"
+    else:
+        bad = scales == 0xFF
+        what = "UE8M0 scale code 0xFF (NaN)"
+    if bad.any():
+        i = int(np.argmax(bad.reshape(-1)))
+        raise TensorFileError(
+            f"{what} 0x{int(scales.reshape(-1)[i]):02X} at byte offset "
+            f"{offset + i}")
 
 
 def read_tensor(path: str) -> np.ndarray | QuantizedTensor:
+    """Read a container, validating its header before it allocates the
+    payload and its scale codes before it returns; any defect raises
+    TensorFileError naming the field or byte offset."""
     with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < _HEADER.size:
-        raise TensorFileError("file shorter than header")
-    (magic, version, dtype, fmt_byte, kind_byte, block_len, reserved,
-     rows, cols, s_dec) = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise TensorFileError("bad magic (not a tensor container)")
-    if version != VERSION:
-        raise TensorFileError(f"unsupported version {version}")
-    if reserved != 0:
-        raise TensorFileError("reserved header bytes must be zero")
-    payload = blob[_HEADER.size:]
-
-    if dtype == 0:
-        n = rows * cols * 8
-        if len(payload) != n:
+        head = f.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise TensorFileError("file shorter than header")
+        (magic, version, dtype, fmt_byte, kind_byte, block_len, reserved,
+         rows, cols, s_dec) = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise TensorFileError("bad magic (not a tensor container)")
+        if version != VERSION:
+            raise TensorFileError(f"unsupported version {version}")
+        if reserved != 0:
+            raise TensorFileError("reserved header bytes must be zero")
+        if rows == 0 or cols == 0:
             raise TensorFileError(
-                f"wide payload length {len(payload)} != expected {n}")
-        return np.frombuffer(payload, np.float64).reshape(rows, cols).copy()
+                f"rows (offset 12) and cols (offset 20) must be positive, "
+                f"got {rows}x{cols}")
+        if dtype == 0:
+            if (fmt_byte, kind_byte, block_len, s_dec) != (0, 0, 0, 0.0):
+                raise TensorFileError(
+                    "wide header must have format, layout, block_len and "
+                    "tensor scale (offsets 6-9, 28) zero")
+            _check_payload_length(f, rows * cols * 8, "wide")
+            x = _payload_array((rows, cols), np.float64)
+            _read_exact(f, x, _HEADER.size)
+            _check_end(f, _HEADER.size + x.nbytes)
+            return x
 
-    if dtype != 1:
-        raise TensorFileError(f"unknown dtype byte {dtype}")
-    fmt_name = _FMT_NAME.get(fmt_byte)
-    if fmt_name is None:
-        raise TensorFileError(f"unknown format byte {fmt_byte}")
-    fmt = FORMATS[fmt_name]
-    layout = _layout_from_bytes(kind_byte, block_len)
-    bm = block_decompose((rows, cols), layout)
-    n_codes = (bm.padded_shape[0] * bm.padded_shape[1] + 1) // 2
-    n_scales = bm.grid_shape[0] * bm.grid_shape[1]
-    if len(payload) != n_codes + n_scales:
-        raise TensorFileError(
-            f"quantized payload length {len(payload)} != expected "
-            f"{n_codes + n_scales}")
-    codes = _unpack_codes(
-        np.frombuffer(payload[:n_codes], np.uint8), bm.padded_shape)
-    scales = np.frombuffer(payload[n_codes:], np.uint8).reshape(
-        bm.grid_shape).copy()
+        if dtype != 1:
+            raise TensorFileError(f"unknown dtype byte {dtype} at offset 5")
+        fmt_name = _FMT_NAME.get(fmt_byte)
+        if fmt_name is None:
+            raise TensorFileError(f"unknown format byte {fmt_byte} at offset 6")
+        fmt = FORMATS[fmt_name]
+        layout = _layout_from_bytes(kind_byte, block_len, fmt)
+        # the largest decoded value is 6 * 448 * s_dec; the encoder keeps
+        # it finite
+        if fmt.has_tensor_scale and not (
+                s_dec > 0.0 and math.isfinite(s_dec * (E2M1_MAX * E4M3_MAX))):
+            raise TensorFileError(
+                f"{fmt.name} tensor-level decode scale at offset 28 must be "
+                f"positive with 6 * 448 * scale finite, got {s_dec!r}")
+        if not fmt.has_tensor_scale and s_dec != 0.0:
+            raise TensorFileError(
+                f"{fmt.name} carries no tensor-level scale; offset 28 holds "
+                f"{s_dec!r}")
+        bm = block_decompose((rows, cols), layout)
+        n_codes = (bm.padded_shape[0] * bm.padded_shape[1] + 1) // 2
+        _check_payload_length(f, n_codes + bm.n_blocks, "quantized")
+        packed = _payload_array(n_codes, np.uint8)
+        _read_exact(f, packed, _HEADER.size)
+        scales = _payload_array(bm.grid_shape, np.uint8)
+        _read_exact(f, scales, _HEADER.size + n_codes)
+        _check_end(f, _HEADER.size + n_codes + scales.nbytes)
+    _check_scale_codes(scales, fmt, _HEADER.size + n_codes)
     return QuantizedTensor(
-        shape=(rows, cols), codes=codes, scale_codes=scales, layout=layout,
-        fmt=fmt, global_decode_scale=s_dec if fmt.has_tensor_scale else None)
+        shape=(rows, cols), codes=_unpack_codes(packed, bm.padded_shape),
+        scale_codes=scales, layout=layout, fmt=fmt,
+        global_decode_scale=s_dec if fmt.has_tensor_scale else None)

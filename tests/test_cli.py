@@ -2,11 +2,13 @@
 byte-stable experiment artifacts."""
 
 import json
+import os
+import struct
 
 import numpy as np
 import pytest
 
-from fp4sim.blockquant import NVFP4, dequantize, quantize, rows1d
+from fp4sim.blockquant import FORMATS, NVFP4, dequantize, quantize, rows1d
 from fp4sim.cli import main, validate_config
 from fp4sim.harness import config_to_dict, reference_config
 from fp4sim.tensorfile import read_tensor, write_tensor
@@ -90,6 +92,47 @@ def test_exit_code_layout_format_mismatch(tmp_path, capsys):
     assert main(["quantize", src, "--format", "nvfp4",
                  "--layout", "rows32", "--out", str(tmp_path / "q.fp4t")]) == 4
     assert "error:" in capsys.readouterr().err
+
+
+def _corrupt_container(tmp_path, fmt, offset_of, value, shape=(16, 32)):
+    """A valid container of fmt with bytes at offset_of(q) replaced."""
+    q = quantize(np.random.default_rng(12).standard_normal(shape), FORMATS[fmt],
+                 rows1d(FORMATS[fmt].block_len))
+    p = str(tmp_path / f"{fmt}.fp4t")
+    write_tensor(p, q)
+    with open(p, "r+b") as f:
+        f.seek(offset_of(q))
+        f.write(value)
+    return p
+
+
+def _first_scale(q):
+    return 36 + (q.codes.size + 1) // 2
+
+
+@pytest.mark.parametrize("fmt,offset_of,value,names", [
+    ("nvfp4", _first_scale, bytes([0x80 | 0x38]), "sign bit"),
+    ("nvfp4", _first_scale, bytes([0x7F]), "NaN pattern"),
+    ("nvfp4", lambda q: 28, struct.pack("<d", float("nan")), "offset 28"),
+    ("mxfp4", _first_scale, bytes([0xFF]), "0xFF"),
+    ("nvfp4", lambda q: 12, bytes(8), "offset 12"),
+])
+def test_exit_code_corrupt_container(tmp_path, capsys, fmt, offset_of, value, names):
+    # each of these used to exit 0, 4 or 5, or to decode to NaN, negative
+    # or 2^128 values
+    src = _corrupt_container(tmp_path, fmt, offset_of, value)
+    assert main(["dequantize", src, "--out", str(tmp_path / "o.fp4t")]) == 3
+    assert names in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o.fp4t")
+
+
+def test_exit_code_empty_wide_container(tmp_path, capsys):
+    p = str(tmp_path / "empty.fp4t")
+    with open(p, "wb") as f:
+        f.write(struct.pack("<4sBBBBHHQQd", b"FP4T", 1, 0, 0, 0, 0, 0, 0, 3, 0.0))
+    assert main(["quantize", p, "--format", "nvfp4",
+                 "--out", str(tmp_path / "q.fp4t")]) == 3
+    assert "offset 12" in capsys.readouterr().err
 
 
 def test_exit_code_usage():

@@ -283,3 +283,35 @@ def test_outputs_match_pinned_block_loop_digests():
         qa, qb = _pair(np.random.default_rng(11), fmt, m=40, k=72, n=24,
                        square_weight=square)
         assert _digest(scaled_gemm(qa, qb)) == want
+
+
+@pytest.mark.parametrize("fmt", [NVFP4, MXFP4])
+def test_block_scales_decoded_once(monkeypatch, fmt):
+    # scale_values() caches the decoded scales; the certificate, the
+    # multipliers, the unscaled values and a transposed view all read it
+    rng = np.random.default_rng(13)
+    qa, qb = _pair(rng, fmt, m=48, k=96, n=40)
+    qs = quantize(rng.standard_normal((32, 48)), NVFP4, square2d())
+    decodes = []
+    for name in ("decode_e4m3", "decode_ue8m0"):
+        real = getattr(blockquant, name)
+
+        def counting(codes, real=real):
+            decodes.append(codes.shape)
+            return real(codes)
+
+        monkeypatch.setattr(blockquant, name, counting)
+    scaled_gemm(qa, qb)
+    scaled_gemm(qa, qb)
+    blockquant.encode_multipliers(qa)
+    assert decodes == [qa.scale_codes.shape, qb.scale_codes.shape]
+    v = transpose_quantized_view(qs)
+    assert len(decodes) == 3  # qs's scales, not the view's
+    s = v.scale_values()
+    assert s.flags.c_contiguous and not s.flags.writeable
+    want = codecs.decode_e4m3(v.scale_codes)
+    assert s.tobytes() == want.tobytes() and v.scale_values() is s
+    assert np.array_equal(dequantize(v), dequantize(qs).T)
+    assert len(decodes) == 3
+    with pytest.raises(ValueError):
+        qa.scale_values()[0, 0] = 1.0
