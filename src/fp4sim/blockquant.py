@@ -56,10 +56,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codecs import (
+    _CHUNK,
     E2M1_MAX,
     E4M3_MAX,
     E4M3_SMALLEST_POSITIVE,
     E4M3_SMALLEST_POSITIVE_CODE,
+    E4M3_VALUES,
     NEAREST,
     QuantizationError,
     RoundingMode,
@@ -201,6 +203,13 @@ def _from_blocks(blocks: np.ndarray, bm: BlockMap) -> np.ndarray:
                   .reshape(bm.padded_shape))
 
 
+def _spare(x: np.ndarray, blocks: np.ndarray) -> np.ndarray | None:
+    """blocks when it is a copy of x (padded, or blocked across rows), so
+    scaling can overwrite it instead of making a second full-size array;
+    None when it is a view of x."""
+    return None if np.may_share_memory(blocks, x) else blocks
+
+
 def _check_input(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -212,8 +221,24 @@ def _block_amax(x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """Per-block max |x|, which also checks x: a NaN or infinity anywhere
     makes its block's amax non-finite, and then check_finite(x) names it.
     This is the quantizers' one finiteness check; the encoders they call
-    do not check again (except sr_round, which is public)."""
-    amax_b = np.abs(blocks).max(axis=1)
+    do not check again (except sr_round, which is public).
+
+    A max along rows of 16 or 32 runs one short row at a time, so 1-D
+    blocks are reduced transposed: |x| of a chunk of blocks goes into an
+    (L, chunk) buffer, whose max down the columns runs along contiguous
+    rows.  A max is exact, so the order does not matter.
+    """
+    n, length = blocks.shape
+    if length >= 256:  # square tiles
+        amax_b = np.abs(blocks).max(axis=1)
+    else:
+        amax_b = np.empty(n)
+        step = max(1, _CHUNK // length)
+        buf = np.empty((length, min(step, n)))
+        for i in range(0, n, step):
+            chunk = blocks[i:i + step].T
+            mag = np.abs(chunk, out=buf[:, :chunk.shape[1]])
+            np.maximum.reduce(mag, axis=0, out=amax_b[i:i + step])
     if not np.isfinite(amax_b).all():
         check_finite(x)
     return amax_b
@@ -228,6 +253,12 @@ class QuantizedTensor:
     for nvfp4, absent for mxfp4).  codes and scale_codes are held as
     read-only views, so the block map, the decoded block scales and the
     decoded values derived from them are computed once.
+
+    A tensor the quantizer made also keeps its record of the input: the
+    per-block amax (_amax_b) and encode multipliers (_enc_b), read-only over
+    the block grid.  quantization_stats reads them instead of blocking the
+    input again; a tensor built any other way (read from a container) has
+    none, and the stats rebuild them.
     """
 
     shape: tuple[int, int]
@@ -241,6 +272,10 @@ class QuantizedTensor:
                                        compare=False)
     _unscaled: np.ndarray | None = field(default=None, init=False, repr=False,
                                          compare=False)
+    _amax_b: np.ndarray | None = field(default=None, init=False, repr=False,
+                                       compare=False)
+    _enc_b: np.ndarray | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         self.codes = _read_only(self.codes)
@@ -290,6 +325,14 @@ class QuantizedTensor:
     def dequantize(self) -> np.ndarray:
         return dequantize(self)
 
+    def _keep_record(self, amax_b: np.ndarray, enc: np.ndarray) -> QuantizedTensor:
+        """Attach the quantizer's per-block amax and encode multipliers
+        (block order) as read-only arrays over the block grid."""
+        grid = self._block_map.grid_shape
+        self._amax_b = _read_only(amax_b.reshape(grid))
+        self._enc_b = _read_only(enc.reshape(grid))
+        return self
+
 
 # Smallest nonzero tensor amax nvfp4 encodes.  At it the decode product of
 # the smallest positive E4M3 scale, 2^-9 * s_dec, is the smallest normal
@@ -334,7 +377,7 @@ def nvfp4_block_scales(amax_blocks: np.ndarray, s_enc: float,
     target = (amax_blocks / E2M1_MAX) * s_enc
     codes = _encode_e4m3(target)
     codes[amax_blocks == 0] = E4M3_SMALLEST_POSITIVE_CODE
-    decoded = decode_e4m3(codes)
+    decoded = E4M3_VALUES[codes]  # the encoder never writes a NaN code
     with np.errstate(divide="ignore"):
         enc = np.where(decoded > 0, 1.0 / (decoded * s_dec), 0.0)
     return codes, enc
@@ -365,8 +408,8 @@ def quantize_nvfp4(x, layout: ScalingLayout = rows1d(16),
     amax_b = _block_amax(x, blocks)
     s_enc, s_dec = global_encode_scale(float(amax_b.max()))
     scale_codes, enc = nvfp4_block_scales(amax_b, s_enc, s_dec)
-    codes = _encode_e2m1(blocks * enc[:, None], mode,
-                         counters=_sr_counters(mode, bm))
+    scaled = np.multiply(blocks, enc[:, None], out=_spare(x, blocks))
+    codes = _encode_e2m1(scaled, mode, counters=_sr_counters(mode, bm))
     return QuantizedTensor(
         shape=tuple(x.shape),
         codes=_from_blocks(codes, bm).astype(np.uint8),
@@ -374,7 +417,7 @@ def quantize_nvfp4(x, layout: ScalingLayout = rows1d(16),
         layout=layout,
         fmt=NVFP4,
         global_decode_scale=s_dec,
-    )
+    )._keep_record(amax_b, enc)
 
 
 def quantize_mxfp4(x, layout: ScalingLayout = rows1d(32),
@@ -398,8 +441,8 @@ def quantize_mxfp4(x, layout: ScalingLayout = rows1d(32),
         scale_codes[nz] = encode_ue8m0_roundup(
             np.maximum(amax_b[nz] / E2M1_MAX, 2.0 ** -127))
     decoded = decode_ue8m0(scale_codes)
-    codes = _encode_e2m1(blocks / decoded[:, None], mode,
-                         counters=_sr_counters(mode, bm))
+    scaled = np.divide(blocks, decoded[:, None], out=_spare(x, blocks))
+    codes = _encode_e2m1(scaled, mode, counters=_sr_counters(mode, bm))
     return QuantizedTensor(
         shape=tuple(x.shape),
         codes=_from_blocks(codes, bm).astype(np.uint8),
@@ -407,7 +450,7 @@ def quantize_mxfp4(x, layout: ScalingLayout = rows1d(32),
         layout=layout,
         fmt=MXFP4,
         global_decode_scale=None,
-    )
+    )._keep_record(amax_b, 1.0 / decoded)
 
 
 def quantize(x, fmt: FormatSpec, layout: ScalingLayout | None = None,
@@ -425,7 +468,8 @@ def encode_multipliers(q: QuantizedTensor) -> np.ndarray:
     """Per-block encode multipliers reconstructed from the stored codes.
 
     Multiplying original values by these reproduces exactly what the encoder
-    saw before E2M1 rounding (used for saturation/underflow accounting).
+    saw before E2M1 rounding; they equal the quantizer's record (_enc_b), so
+    the stats need them only for a tensor without one.
     """
     decoded = q.scale_values()
     s_dec = q.global_decode_scale if q.fmt.has_tensor_scale else 1.0

@@ -92,15 +92,42 @@ def check_finite(x: np.ndarray, where: str = "") -> None:
 _CHUNK = 1 << 15
 
 
-def _chunks(operands: list, dtypes: list) -> np.nditer:
+def _chunks(operands: list, dtypes: list):
     """Iterator over 1-D chunks of at most _CHUNK elements, in the memory
     order of the inputs; a None operand is an output that numpy allocates
-    with the layout an element-wise ufunc over the inputs would give."""
+    with the layout an element-wise ufunc over the inputs would give.
+
+    C-contiguous inputs of one shape and of the given dtypes that fit in
+    one chunk are that chunk: their outputs are C-ordered, as the nditer
+    would allocate them, and the nditer's set-up cost is skipped."""
+    inputs = [(op, dt) for op, dt in zip(operands, dtypes) if op is not None]
+    shape = inputs[0][0].shape
+    if all(op.shape == shape and op.dtype == dt and op.flags.c_contiguous
+           for op, dt in inputs) and inputs[0][0].size <= _CHUNK:
+        return _OneChunk([op if op is not None else np.empty(shape, dt)
+                          for op, dt in zip(operands, dtypes)])
     flags = [["readonly"] if op is not None else ["writeonly", "allocate"]
              for op in operands]
     return np.nditer(operands, flags=["external_loop", "buffered", "zerosize_ok"],
                      op_flags=flags, op_dtypes=dtypes, order="K",
                      buffersize=_CHUNK)
+
+
+class _OneChunk:
+    """The part of the nditer interface that _chunks' callers use, for
+    operands that are one chunk."""
+
+    def __init__(self, operands: list):
+        self.operands = operands
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        return None
+
+    def __iter__(self):
+        yield tuple(op.reshape(-1) for op in self.operands)
 
 
 def encode_e2m1(x, mode: RoundingMode = NEAREST, counters=None) -> np.ndarray:
@@ -117,12 +144,21 @@ def encode_e2m1(x, mode: RoundingMode = NEAREST, counters=None) -> np.ndarray:
 
 def _encode_e2m1(x: np.ndarray, mode: RoundingMode, counters) -> np.ndarray:
     """encode_e2m1 of a float64 array the caller has checked to be finite;
-    only sr_round checks again.  The codes keep x's memory layout."""
-    if isinstance(mode, Stochastic):
+    only sr_round checks again.  The codes keep x's memory layout.
+
+    sr_round returns E2M1 grid values, and each grid value is the smallest
+    magnitude of its bucket of top 13 bits (as in _sr_brackets), so their
+    codes are one gather from a table keyed by those bits."""
+    stochastic = isinstance(mode, Stochastic)
+    if stochastic:
         x = sr_round(x, mode, counters=counters)
     with _chunks([x, None], [np.float64, np.uint8]) as it:
         for xs, codes in it:
-            _e2m1_walk(xs, codes)
+            if stochastic:
+                key = (xs.view(np.uint64) >> 51).view(np.int64)
+                np.take(_GRID_CODES, key, out=codes, mode="clip")
+            else:
+                _e2m1_walk(xs, codes)
         out = it.operands[1]
     return out if out.ndim else out[()]
 
@@ -143,6 +179,20 @@ def _e2m1_walk(x: np.ndarray, codes: np.ndarray) -> None:
     neg = np.signbit(x)
     neg &= codes > 0
     codes |= neg.view(np.uint8) << 3
+
+
+def _grid_codes() -> np.ndarray:
+    """The nearest-even code of the smallest magnitude of every bucket of
+    top 13 bits (sign, exponent and first mantissa bit), signed zero
+    included; read-only."""
+    bottom = (np.arange(1 << 13, dtype=np.uint64) << 51).view(np.float64)
+    codes = np.empty(bottom.shape, dtype=np.uint8)
+    _e2m1_walk(bottom, codes)
+    codes.setflags(write=False)
+    return codes
+
+
+_GRID_CODES = _grid_codes()
 
 
 def decode_e2m1(codes) -> np.ndarray:
@@ -227,6 +277,21 @@ E4M3_SMALLEST_POSITIVE = 2.0 ** -9
 E4M3_SMALLEST_POSITIVE_CODE = 0x01
 
 
+def _e4m3_thresholds() -> np.ndarray:
+    """For k = 0 .. 125, the smallest magnitude whose nearest-even code is
+    above k: the midpoint of codes k and k + 1 (exact in binary64), or the
+    next double above it when k is even and keeps the tie.  Magnitudes
+    past the last one saturate to code 126."""
+    mid = (E4M3_VALUES[:126] + E4M3_VALUES[1:127]) / 2
+    thresholds = np.where(np.arange(126) % 2 == 0, np.nextafter(mid, np.inf), mid)
+    thresholds.setflags(write=False)
+    return thresholds
+
+
+_E4M3_THRESHOLDS = _e4m3_thresholds()
+_E4M3_SEARCH_MAX = 512
+
+
 def encode_e4m3(x) -> np.ndarray:
     """Round-to-nearest-even onto the E4M3 grid; |x| > 448 saturates to
     +-448 rather than producing the NaN code.  Zero encodes as +0."""
@@ -243,14 +308,21 @@ def _encode_e4m3(x: np.ndarray) -> np.ndarray:
     1023 to 7.  Below 2^-6 the codes count multiples of 2^-9, and rint
     rounds those ties to even.  Everything above 448 saturates to code 126.
     The codes are C-ordered, whatever the layout of x.
+
+    Up to _E4M3_SEARCH_MAX values (block-scale grids of small tensors), one
+    binary search over the thresholds between codes takes fewer passes and
+    gives the same codes.
     """
     mag = np.abs(x, out=np.empty(np.shape(x)))
-    bits = mag.view(np.uint64)
-    rne = (bits + ((bits >> 49) & 1) + ((1 << 48) - 1)) >> 49
-    code = rne.view(np.int64) - ((1023 - 7) << 3)
-    sub = np.rint(np.minimum(mag, E4M3_MIN_NORMAL) * 2.0 ** 9)
-    code = np.where(mag < E4M3_MIN_NORMAL, sub.astype(np.int64), code)
-    code = np.minimum(code, 126).astype(np.uint8)
+    if mag.size <= _E4M3_SEARCH_MAX:
+        code = np.searchsorted(_E4M3_THRESHOLDS, mag, side="right").astype(np.uint8)
+    else:
+        bits = mag.view(np.uint64)
+        rne = (bits + ((bits >> 49) & 1) + ((1 << 48) - 1)) >> 49
+        code = rne.view(np.int64) - ((1023 - 7) << 3)
+        sub = np.rint(np.minimum(mag, E4M3_MIN_NORMAL) * 2.0 ** 9)
+        code = np.where(mag < E4M3_MIN_NORMAL, sub.astype(np.int64), code)
+        code = np.minimum(code, 126).astype(np.uint8)
     neg = np.signbit(x) & (code > 0)
     return code | (neg.view(np.uint8) << 7)
 

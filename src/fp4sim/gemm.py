@@ -149,8 +149,15 @@ def transpose_quantized_view(q: QuantizedTensor) -> QuantizedTensor:
         fmt=q.fmt,
         global_decode_scale=q.global_decode_scale,
     )
-    # the decoded scales transpose with their codes; decode them only once
+    # the decoded scales and values transpose with their codes; decode them
+    # only once
     view._scales = _read_only(np.ascontiguousarray(q.scale_values().T))
+    if q._unscaled is not None:
+        view._unscaled = _read_only(np.ascontiguousarray(q._unscaled.T))
+    if q._amax_b is not None:
+        # so does the quantizer's record: block (i, j) of the transpose is
+        # block (j, i) of q
+        view._keep_record(q._amax_b.T, q._enc_b.T)
     return view
 
 

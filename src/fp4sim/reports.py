@@ -3,18 +3,31 @@
 One implementation serves both the per-GEMM traces inside the layer code and
 the offline tensor reports printed by the command-line tools, so the two can
 never disagree about what "saturation" or "SQNR" means.
+
+With PrecisionPolicy.collect_stats on (the default), every quantized GEMM
+operand gets a quantization_stats call, and the GemmTrace keeps three of its
+fields: rel_fro_error (as quant_error), saturated and underflow_to_zero.  So
+the call computes only the fields that read the input x (those three and
+max_rel_error), and takes each block's amax and encode multiplier from the
+quantizer's record on the QuantizedTensor instead of blocking x again.  The
+ON_FIRST_READ fields (sqnr_db, amax_rel_error, binade_utilization_mean and
+_min) are computed when one of them is first read, from the decoded tensor
+and its error, which the report holds until then; analyze_tensor reads them
+before it returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .blockquant import (
+    BlockMap,
     FormatSpec,
     QuantizedTensor,
     ScalingLayout,
+    _block_amax,
     _pad,
     _to_blocks,
     dequantize,
@@ -22,13 +35,23 @@ from .blockquant import (
     quantize,
     rows1d,
 )
-from .codecs import E2M1_MAX, E2M1_VALUES, NEAREST, RoundingMode, _chunks
+from .codecs import _CHUNK, E2M1_MAX, E2M1_VALUES, NEAREST, RoundingMode
 from .hadamard import HadamardSpec, apply_rht_tiled
+
+# TensorReport fields that quantization_stats leaves to the first read
+ON_FIRST_READ = ("sqnr_db", "amax_rel_error", "binade_utilization_mean",
+                 "binade_utilization_min")
 
 
 @dataclass
 class TensorReport:
-    """Round-trip quality of one tensor under one format/layout choice."""
+    """Round-trip quality of one tensor under one format/layout choice.
+
+    A report from quantization_stats computes its ON_FIRST_READ fields when
+    one of them is first read (to_dict reads them all); until then they are
+    missing from the instance dict, and a private function of arrays only
+    the report holds stands in for them.
+    """
 
     fmt: str
     layout: str
@@ -45,90 +68,159 @@ class TensorReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    def __getstate__(self) -> dict:
+        # copies and pickles carry values, not the pending function
+        getattr(self, ON_FIRST_READ[0])
+        return vars(self)
+
+    @classmethod
+    def _pending(cls, on_first_read, **known) -> TensorReport:
+        """A report whose ON_FIRST_READ fields on_first_read() returns."""
+        report = cls.__new__(cls)
+        vars(report).update(known, _on_first_read=on_first_read)
+        return report
+
+    def __getattr__(self, name):
+        # reached only for an attribute missing from the instance dict
+        pending = vars(self)
+        if name in ON_FIRST_READ and "_on_first_read" in pending:
+            pending.update(pending.pop("_on_first_read")())
+            return pending[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}")
+
 
 def quantization_stats(x: np.ndarray, q: QuantizedTensor) -> TensorReport:
     """Compare a tensor with its quantized form.
 
-    x must be the exact array that was quantized (post any transform); the
-    saturation count is reconstructed from the stored scale codes, so the
-    report reflects what the encoder actually saw.
+    Precondition: x is the exact array that was quantized into q (post any
+    transform; for a transpose view, the transpose of that array).  The
+    per-block amax and encode multipliers come from the quantizer's record
+    on q, so the report reflects what the encoder actually saw; a q without
+    one (read from a container) has them rebuilt from x and its scale
+    codes.  An x whose shape differs from q's raises ValueError.
+
+    The fields that read x are computed in the call; the ON_FIRST_READ
+    fields wait for their first read and read only the decoded tensor, its
+    error and q's read-only codes, so changing x later changes no report.
     """
     x = np.asarray(x, dtype=np.float64)
+    if x.shape != tuple(q.shape):
+        raise ValueError(f"x has shape {x.shape} but the quantized tensor "
+                         f"has shape {tuple(q.shape)}")
     deq = dequantize(q)
     err = x - deq
-    sig = float(np.sum(x * x))
-    noise = float(np.sum(err * err))
-    if sig == 0.0:
-        sqnr = None
-    elif noise == 0.0:
-        sqnr = float("inf")
-    else:
-        sqnr = 10.0 * np.log10(sig / noise)
-
+    sig = float((x * x).sum())
     rel_fro = float(np.linalg.norm(err) / np.linalg.norm(x)) if sig else 0.0
-    max_rel, underflow, amax_deq = _element_extremes(x, deq, err)
+    # x == 0 encodes to a zero code, so nonzero(deq) is a subset of nonzero(x)
+    underflow = int(np.count_nonzero(x)) - int(np.count_nonzero(deq))
 
     bm = q.block_map
-    amax, saturated = _amax_saturated(_to_blocks(_pad(x, bm), bm),
-                                      encode_multipliers(q).reshape(-1))
-    amax_rel = abs(amax_deq - amax) / amax if amax else 0.0
-
-    # E2M1 magnitudes rise with the low three code bits
-    block_max = E2M1_VALUES[_to_blocks(q.codes & 7, bm).max(axis=1)]
-    active = block_max > 0
-    if active.any():
-        util = np.log2(block_max[active] / 0.5)
-        util_mean, util_min = float(util.mean()), float(util.min())
+    xp = _pad(x, bm)  # x itself when it needs no padding
+    if q._amax_b is None:
+        amax_b, enc = _rebuilt_record(x, xp, q)
     else:
-        util_mean = util_min = 0.0
+        amax_b, enc = q._amax_b, q._enc_b
 
-    return TensorReport(
+    return TensorReport._pending(
+        _on_first_read(deq, err, sig, amax_b, q.codes, bm),
         fmt=q.fmt.name,
         layout=q.layout.kind,
-        sqnr_db=sqnr,
-        max_rel_error=max_rel,
+        max_rel_error=_max_rel_error(x, err),
         rel_fro_error=rel_fro,
-        saturated=saturated,
+        saturated=_saturated(xp, bm, amax_b, enc),
         underflow_to_zero=underflow,
-        amax_rel_error=amax_rel,
-        binade_utilization_mean=util_mean,
-        binade_utilization_min=util_min,
         n_blocks=bm.n_blocks,
     )
 
 
-def _element_extremes(x: np.ndarray, deq: np.ndarray,
-                      err: np.ndarray) -> tuple[float, int, float]:
-    """max |err / x| over the nonzero x, the number of nonzero x that
-    decode to zero, and max |deq|, over cache-sized chunks.  Maxima and
-    counts do not depend on the order the chunks come in."""
-    max_rel = amax_deq = np.float64(0.0)
-    underflow = 0
-    with _chunks([x, deq, err], [np.float64] * 3) as it:
-        for xs, ds, es in it:
-            zero = xs == 0
-            # err / inf is a zero, which leaves the max unchanged
-            rel = np.abs(es / np.where(zero, np.inf, xs))
-            max_rel = np.maximum(max_rel, rel.max())
-            underflow += int(np.count_nonzero(~zero & (ds == 0.0)))
-            amax_deq = np.maximum(amax_deq, np.abs(ds).max())
-    return float(max_rel), underflow, float(amax_deq)
+def _row_chunks(a: np.ndarray) -> list[slice]:
+    """Slices of a's first axis, each about _CHUNK elements (at least one
+    index), so a chunk and its temporaries stay in a core's L2 cache."""
+    if a.size <= _CHUNK:
+        return [slice(None)]
+    step = max(1, _CHUNK // max(1, a[:1].size))
+    return [slice(i, i + step) for i in range(0, a.shape[0], step)]
 
 
-def _amax_saturated(blocks: np.ndarray, enc: np.ndarray) -> tuple[float, int]:
-    """max |x| over the blocks, and the number of elements whose scaled
-    magnitude |x * enc_b| exceeds E2M1_MAX, over cache-sized chunks.
-    |x| * enc_b equals |x * enc_b|, because enc_b >= 0 and rounding is
-    symmetric."""
-    amax = np.float64(0.0)
+def _rebuilt_record(x: np.ndarray, xp: np.ndarray,
+                    q: QuantizedTensor) -> tuple[np.ndarray, np.ndarray]:
+    """The quantizer's record for a q that lacks one, over the block grid:
+    the block amax of x (xp padded) by the quantizers' own helper, and the
+    encode multipliers of q's stored scale codes."""
+    bm = q.block_map
+    amax_b = _block_amax(x, _to_blocks(xp, bm))
+    return amax_b.reshape(bm.grid_shape), encode_multipliers(q)
+
+
+def _max_rel_error(x: np.ndarray, err: np.ndarray) -> float:
+    """max |err / x| over the nonzero x, a chunk of rows at a time.  A zero
+    x decodes to zero, so its err is zero too, and fmax skips the 0 / 0
+    NaN."""
+    best = np.float64(0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for s in _row_chunks(x):
+            rel = np.divide(err[s], x[s])
+            best = np.fmax.reduce(np.abs(rel, out=rel), axis=None, initial=best)
+    return float(best)
+
+
+def _saturated(xp: np.ndarray, bm: BlockMap, amax_b: np.ndarray,
+               enc: np.ndarray) -> int:
+    """Elements whose scaled magnitude |x| * enc_b exceeds E2M1_MAX, from
+    the padded x and the block grid's amax and encode multipliers.
+
+    Only a block whose scaled amax amax_b * enc_b exceeds it can hold one:
+    |x| <= amax_b, and multiplying by enc_b >= 0 rounds monotonically.
+    With no such block (every mxfp4 block) x is not read.  Otherwise every
+    block is scaled, a chunk of block rows at a time: E4M3 rounds about
+    half of the nvfp4 scales down, and gathering just those blocks costs
+    more than it skips.  |x| * enc_b equals the encoder's |x * enc_b|,
+    because rounding is symmetric.
+    """
+    if (amax_b * enc).max() <= E2M1_MAX:
+        return 0
+    (br, bc), (gr, gc) = bm.block_shape, bm.grid_shape
+    if not xp.flags.c_contiguous and xp.T.flags.c_contiguous:
+        # the same blocks, transposed, so that they are read in memory order
+        xp, enc, (br, bc), (gr, gc) = xp.T, enc.T, (bc, br), (gc, gr)
+    blocks = xp.reshape(gr, br, gc, bc)  # a view: block (i, j) is [i, :, j, :]
     saturated = 0
-    with _chunks([blocks, enc[:, None]], [np.float64] * 2) as it:
-        for xs, es in it:
-            mag = np.abs(xs)
-            amax = np.maximum(amax, mag.max())
-            mag *= es
-            saturated += int(np.count_nonzero(mag > E2M1_MAX))
-    return float(amax), saturated
+    for s in _row_chunks(blocks):
+        mag = np.abs(blocks[s])
+        mag *= enc[s, None, :, None]
+        saturated += int(np.count_nonzero(mag > E2M1_MAX))
+    return saturated
+
+
+def _on_first_read(deq: np.ndarray, err: np.ndarray, sig: float,
+                   amax_b: np.ndarray, codes: np.ndarray, bm: BlockMap):
+    """The ON_FIRST_READ fields, as a function the report calls once."""
+
+    def compute() -> dict:
+        amax = float(amax_b.max())
+        noise = float((err * err).sum())
+        if sig == 0.0:
+            sqnr = None
+        elif noise == 0.0:
+            sqnr = float("inf")
+        else:
+            sqnr = 10.0 * np.log10(sig / noise)
+        amax_deq = float(np.abs(deq).max())
+        # E2M1 magnitudes rise with the low three code bits
+        block_max = E2M1_VALUES[_to_blocks(codes & 7, bm).max(axis=1)]
+        active = block_max > 0
+        if active.any():
+            util = np.log2(block_max[active] / 0.5)
+            util_mean, util_min = float(util.mean()), float(util.min())
+        else:
+            util_mean = util_min = 0.0
+        return dict(sqnr_db=sqnr,
+                    amax_rel_error=abs(amax_deq - amax) / amax if amax else 0.0,
+                    binade_utilization_mean=util_mean,
+                    binade_utilization_min=util_min)
+
+    return compute
 
 
 def analyze_tensor(x, fmt: FormatSpec, layout: ScalingLayout | None = None,
@@ -150,10 +242,9 @@ def analyze_tensor(x, fmt: FormatSpec, layout: ScalingLayout | None = None,
     if layout is None:
         layout = rows1d(fmt.block_len)
     q = quantize(x, fmt, layout, mode)
-    rep = quantization_stats(x, q)
-    if rht is not None:
-        rep.layout += f"+rht{rht.d}"
-    return rep
+    name = q.layout.kind + (f"+rht{rht.d}" if rht is not None else "")
+    # replace reads every field, so no decoded array outlives this call
+    return replace(quantization_stats(x, q), layout=name)
 
 
 def format_report_table(reports: list[TensorReport]) -> str:

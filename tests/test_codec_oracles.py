@@ -7,6 +7,9 @@ order and an F-ordered code array changes its last bits.  So every
 comparison is by tobytes() and strides, and the stats by repr.
 """
 
+import dataclasses
+import os
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fp4sim import blockquant, codecs
+from fp4sim import blockquant, codecs, tensorfile
 from fp4sim.blockquant import (
     MXFP4,
     NVFP4,
@@ -38,7 +41,8 @@ from fp4sim.codecs import (
     Stochastic,
     uniforms_at,
 )
-from fp4sim.reports import quantization_stats
+from fp4sim.gemm import transpose_quantized_view
+from fp4sim.reports import TensorReport, quantization_stats
 
 # --- the oracles ---------------------------------------------------------------
 
@@ -224,6 +228,15 @@ def test_codecs_span_many_chunks():
         _same(codecs.sr_round(x, stream), _oracle_sr_round(x, stream))
 
 
+def test_sr_codes_of_every_grid_value():
+    # _encode_e2m1 reads the codes of sr_round's output, which holds only
+    # grid values, from a table; they must be the walk's codes, -0.0's too
+    grid = np.append(E2M1_GRID, -0.0)
+    want = _oracle_encode_e2m1(grid, NEAREST, None)
+    _same(codecs._GRID_CODES[(grid.view(np.uint64) >> 51).astype(np.intp)], want)
+    _same(codecs._encode_e2m1(grid, Stochastic(("grid-codes",)), None), want)
+
+
 def test_e4m3_every_code_and_midpoint():
     finite = E4M3_VALUES[:127]
     mids = (finite[:-1] + finite[1:]) / 2  # every tie, exact in binary64
@@ -231,6 +244,19 @@ def test_e4m3_every_code_and_midpoint():
                         np.nextafter(mids, np.inf)])
     for v in (x, -x):
         _same(codecs.encode_e4m3(v), _oracle_encode_e4m3(v))
+
+
+def test_e4m3_every_code_and_midpoint_on_both_paths():
+    # small arrays take a binary search over the code thresholds, large
+    # ones the bit arithmetic; both must give the oracle's codes
+    finite = E4M3_VALUES[:127]
+    mids = (finite[:-1] + finite[1:]) / 2
+    x = np.concatenate([finite, mids, np.nextafter(mids, 0.0),
+                        np.nextafter(mids, np.inf), [448.5, 480.0, 1e300]])
+    for v in (x, -x):
+        for size in (codecs._E4M3_SEARCH_MAX, 4 * codecs._E4M3_SEARCH_MAX):
+            w = np.resize(v, size)
+            _same(codecs._encode_e4m3(w), _oracle_encode_e4m3(w))
 
 
 # --- quantize and stats --------------------------------------------------------
@@ -277,3 +303,89 @@ def test_quantize_and_stats_match_oracles(a, layout, pair, sr):
     report = quantization_stats(x, got).to_dict()
     assert {k: repr(v) for k, v in report.items()} == \
         {k: repr(v) for k, v in _oracle_stats(x, want).items()}
+
+
+# --- stats from the quantizer's record, fields on first read -------------------
+
+_FIELDS = [f.name for f in dataclasses.fields(TensorReport)]
+
+
+def _read_back(q):
+    """q written to a container and read back: the same tensor, without the
+    quantizer's record."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "q.fp4t")
+        tensorfile.write_tensor(path, q)
+        return tensorfile.read_tensor(path)
+
+
+def _source(x, fmt, layout, mode, source):
+    """(the array quantized, q) for q straight from quantize, a transpose
+    view of a square-tiled encoding, or a container read back."""
+    q = quantize(x, fmt, layout, mode)
+    if source == "transpose":
+        return x.T, transpose_quantized_view(q)
+    if source == "container":
+        return x, _read_back(q)
+    return x, q
+
+
+def _stats_match_oracle(x, q, order=_FIELDS):
+    """quantization_stats(x, q) equals the oracle by repr when its fields
+    are read in `order` after x was overwritten."""
+    want = {k: repr(v) for k, v in _oracle_stats(x, q).items()}
+    report = quantization_stats(x, q)
+    x[...] = np.nan
+    got = {name: repr(getattr(report, name)) for name in order}
+    assert got == want
+    assert {k: repr(v) for k, v in report.to_dict().items()} == want
+    assert list(report.to_dict()) == _FIELDS
+
+
+@settings(max_examples=200, deadline=None)
+@given(_arrays(_stats_values, max_rows=40, max_cols=70), st.sampled_from(_LAYOUTS),
+       st.sampled_from(sorted(_PAIRS)), st.booleans(),
+       st.sampled_from(["quantize", "transpose", "container"]),
+       st.permutations(_FIELDS))
+def test_stats_match_oracle_for_every_source_and_read_order(a, layout, pair, sr,
+                                                             source, order):
+    fmt, scale_layout = _PAIRS["nv_square"] if source == "transpose" else _PAIRS[pair]
+    x = _with_layout(a, layout)
+    mode = Stochastic(("stats-source", pair)) if sr else NEAREST
+    try:
+        x, q = _source(x, fmt, scale_layout, mode, source)
+    except ScaleRangeError:
+        return
+    assert (q._amax_b is None) == (source == "container")
+    _stats_match_oracle(x, q, order)
+
+
+@pytest.mark.parametrize("layout, source", [
+    ("rows", "quantize"), ("rows", "container"), ("cols", "quantize"),
+    ("cols", "container"), ("square", "quantize"), ("square", "container"),
+    ("square", "transpose")])
+def test_stats_count_saturation_where_the_scale_rounds_down(layout, source):
+    # The tensor amax 2688 makes s_enc = 1.  The second block's ideal scale
+    # 6.36 / 6 = 1.06 rounds down to the E4M3 1.0, so its 6.36 and -6.1
+    # scale past 6; the first block's 2688 scales to exactly 6.
+    row = np.zeros(32)
+    row[0], row[16:20] = 2688.0, [6.36, -6.1, 5.9, 0.3]
+    x = np.ascontiguousarray(row[:, None]) if layout == "cols" else row[None, :].copy()
+    scale_layout = {"rows": rows1d(16), "cols": cols1d(16), "square": square2d()}[layout]
+    x, q = _source(x, NVFP4, scale_layout, NEAREST, source)
+    assert quantization_stats(x, q).saturated == 2
+    _stats_match_oracle(x, q)
+
+
+@pytest.mark.parametrize("pair", sorted(_PAIRS))
+@pytest.mark.parametrize("sr", [False, True])
+def test_stats_span_many_chunks(pair, sr):
+    fmt, scale_layout = _PAIRS[pair]
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((300, 257)) * rng.lognormal(0.0, 3.0, (300, 1))
+    assert a.size > codecs._CHUNK
+    mode = Stochastic(("stats-chunks", pair)) if sr else NEAREST
+    sources = ["quantize", "container"] + (["transpose"] if pair == "nv_square" else [])
+    for source in sources:
+        for x in (a.copy(), np.asfortranarray(a)):
+            _stats_match_oracle(*_source(x, fmt, scale_layout, mode, source))

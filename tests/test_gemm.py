@@ -135,6 +135,25 @@ def test_transpose_view_square_exact():
                           dequantize(q))
 
 
+def test_transpose_view_reuses_decoded_values(monkeypatch):
+    rng = np.random.default_rng(14)
+    q = quantize(rng.standard_normal((48, 32)), NVFP4, square2d())
+    fresh = transpose_quantized_view(q).unscaled_values()  # from the view's codes
+    q.unscaled_values()
+    decodes = []
+    real = blockquant.decode_e2m1
+
+    def counting(codes):
+        decodes.append(codes.shape)
+        return real(codes)
+
+    monkeypatch.setattr(blockquant, "decode_e2m1", counting)
+    u = transpose_quantized_view(q).unscaled_values()
+    assert decodes == []
+    assert u.flags.c_contiguous and not u.flags.writeable
+    assert u.tobytes() == fresh.tobytes()
+
+
 def test_transpose_view_refused_for_1d():
     q = quantize(np.ones((16, 16)), NVFP4, rows1d(16))
     with pytest.raises(NotTransposableError):
