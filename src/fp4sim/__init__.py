@@ -73,6 +73,7 @@ from .harness import (
     relative_loss_difference,
     run_ablation_suite,
     run_experiment,
+    validate_config,
 )
 from .linear import (
     GemmKind,

@@ -106,35 +106,63 @@ FORMATS = {f.name: f for f in (NVFP4, MXFP4)}
 
 @dataclass(frozen=True)
 class ScalingLayout:
-    """How scale blocks tile a 2-D tensor.
+    """How scale blocks tile a 2-D tensor, named by kind and block length
+    alike in configs, containers and on the command line.
 
     kind "rows": (1, block_len) segments along each row (shared scale along
     the second axis); "cols": (block_len, 1) segments down each column;
-    "square": 16x16 tiles (one scale per tile, shared by both axes).
+    "square": 16x16 tiles (one scale per tile, shared by both axes), so a
+    square layout's block_len is 16.  A LayoutError names each wrong part
+    ("kind: ..." or "block_len: ...").
     """
 
     kind: str
-    block_shape: tuple[int, int]
+    block_len: int
 
     def __post_init__(self):
+        errs = []
         if self.kind not in ("rows", "cols", "square"):
-            raise ValueError(f"unknown layout kind {self.kind!r}")
+            errs.append(f"kind: must be rows, cols, or square (got {self.kind!r})")
+        if type(self.block_len) is not int or self.block_len < 1:
+            errs.append(f"block_len: must be a positive integer (got {self.block_len!r})")
+        elif self.kind == "square" and self.block_len != 16:
+            errs.append(f"block_len: must be 16 for square tiles (got {self.block_len})")
+        if errs:
+            raise LayoutError("\n".join(errs))
 
     @property
-    def block_len(self) -> int:
-        return max(self.block_shape)
+    def block_shape(self) -> tuple[int, int]:
+        n = self.block_len
+        return (1, n) if self.kind == "rows" else (n, 1) if self.kind == "cols" else (n, n)
 
 
 def rows1d(n: int = 16) -> ScalingLayout:
-    return ScalingLayout("rows", (1, n))
+    return ScalingLayout("rows", n)
 
 
 def cols1d(n: int = 16) -> ScalingLayout:
-    return ScalingLayout("cols", (n, 1))
+    return ScalingLayout("cols", n)
 
 
 def square2d() -> ScalingLayout:
-    return ScalingLayout("square", (16, 16))
+    return ScalingLayout("square", 16)
+
+
+# Every layout some format admits, by the names the command line uses.
+LAYOUTS = {f"{layout.kind}{layout.block_len}": layout
+           for layout in (rows1d(16), cols1d(16), square2d(), rows1d(32), cols1d(32))}
+
+
+def check_layout(fmt: FormatSpec, layout: ScalingLayout, name: str = "layout") -> None:
+    """The layout/format rule: a 1-D block is as long as the format's
+    block, and square tiles are 16x16 on a block-16 format.  Raises
+    LayoutError naming name.kind or name.block_len."""
+    if layout.kind == "square" and fmt.block_len != 16:
+        raise LayoutError(f"{name}.kind: square tiles require a block-16 format "
+                          f"(got {fmt.name}, block length {fmt.block_len})")
+    if layout.kind != "square" and layout.block_len != fmt.block_len:
+        raise LayoutError(f"{name}.block_len: must equal the {fmt.name} block "
+                          f"length {fmt.block_len} (got {layout.block_len})")
 
 
 @dataclass(frozen=True)
@@ -149,13 +177,6 @@ class BlockMap:
     @property
     def n_blocks(self) -> int:
         return self.grid_shape[0] * self.grid_shape[1]
-
-    def block_slices(self, index: int) -> tuple[slice, slice]:
-        """Padded-tensor slices of block `index` (row-major grid order)."""
-        gr, gc = self.grid_shape
-        r, c = divmod(index, gc)
-        br, bc = self.block_shape
-        return slice(r * br, (r + 1) * br), slice(c * bc, (c + 1) * bc)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -289,10 +310,7 @@ class QuantizedTensor:
             raise QuantizationError(f"{self.fmt.name} requires a tensor-level scale")
         if not self.fmt.has_tensor_scale and self.global_decode_scale is not None:
             raise QuantizationError(f"{self.fmt.name} does not carry a tensor-level scale")
-        if self.layout.kind != "square" and self.layout.block_len != self.fmt.block_len:
-            raise LayoutError("layout block length must match the format block length")
-        if self.layout.kind == "square" and self.fmt.block_len != 16:
-            raise LayoutError("square tiles require a block-16 format")
+        check_layout(self.fmt, self.layout)
 
     @property
     def block_map(self) -> BlockMap:
@@ -400,8 +418,7 @@ def quantize_nvfp4(x, layout: ScalingLayout = rows1d(16),
     nonzero but below NVFP4_MIN_AMAX.
     """
     x = _check_input(x)
-    if layout.kind != "square" and layout.block_len != NVFP4.block_len:
-        raise LayoutError("nvfp4 uses block length 16")
+    check_layout(NVFP4, layout)
     bm = block_decompose(x.shape, layout)
     xp = _pad(x, bm)
     blocks = _to_blocks(xp, bm)
@@ -423,10 +440,7 @@ def quantize_nvfp4(x, layout: ScalingLayout = rows1d(16),
 def quantize_mxfp4(x, layout: ScalingLayout = rows1d(32),
                    mode: RoundingMode = NEAREST) -> QuantizedTensor:
     x = _check_input(x)
-    if layout.kind == "square":
-        raise LayoutError("mxfp4 blocks are 32 long; square tiles are 16x16")
-    if layout.block_len != MXFP4.block_len:
-        raise LayoutError("mxfp4 uses block length 32")
+    check_layout(MXFP4, layout)
     bm = block_decompose(x.shape, layout)
     xp = _pad(x, bm)
     blocks = _to_blocks(xp, bm)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import stream_key, uniforms
+from .schema import check_fields, raise_errors
 
 
 class DimensionError(ValueError):
@@ -43,8 +44,8 @@ class HadamardSpec:
     randomized: bool = True
 
     def __post_init__(self):
-        if self.d < 2 or self.d & (self.d - 1):
-            raise DimensionError("transform size must be a power of two >= 2")
+        power_of_two = (lambda d: d >= 2 and not d & (d - 1)), "must be a power of two >= 2"
+        raise_errors(check_fields(self, d=power_of_two), DimensionError)
 
 
 def sign_vector(spec: HadamardSpec) -> np.ndarray:
@@ -56,7 +57,13 @@ def sign_vector(spec: HadamardSpec) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _build_hadamard_cached(spec: HadamardSpec) -> np.ndarray:
+def build_hadamard(spec: HadamardSpec) -> np.ndarray:
+    """Orthonormal (sign-randomized) Hadamard matrix for the spec.
+
+    Sylvester doubling from [[1]]; each entry is +-1/sqrt(d), and rows are
+    flipped by the spec's sign vector.  Deterministic in the spec alone
+    (and cached on it; the returned array is read-only).
+    """
     h = np.array([[1.0]])
     size = 1
     while size < spec.d:
@@ -66,16 +73,6 @@ def _build_hadamard_cached(spec: HadamardSpec) -> np.ndarray:
     h = sign_vector(spec)[:, None] * h
     h.setflags(write=False)
     return h
-
-
-def build_hadamard(spec: HadamardSpec) -> np.ndarray:
-    """Orthonormal (sign-randomized) Hadamard matrix for the spec.
-
-    Sylvester doubling from [[1]]; each entry is +-1/sqrt(d), and rows are
-    flipped by the spec's sign vector.  Deterministic in the spec alone
-    (and cached on it; the returned array is read-only).
-    """
-    return _build_hadamard_cached(spec)
 
 
 # Tiles per chunk times d: one chunk's scratch (inputs, partial sums and a

@@ -22,9 +22,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .blockquant import FORMATS, MXFP4, NVFP4, rows1d, square2d
+from .blockquant import MXFP4, rows1d
 from .codecs import QuantizationError
-from .hadamard import HadamardSpec
 from .linear import (
     GemmKind,
     LinearLayerState,
@@ -32,7 +31,19 @@ from .linear import (
     backward,
     forward,
 )
+from .reports import text_table
 from .rng import normals, stream_key
+from .schema import (
+    FRACTION,
+    NON_NEGATIVE,
+    OPEN_FRACTION,
+    POSITIVE,
+    check_fields,
+    decode,
+    one_of,
+    raise_errors,
+    to_json,
+)
 
 
 @dataclass(frozen=True)
@@ -47,14 +58,10 @@ class LRSchedule:
     floor_ratio: float = 0.05
 
     def __post_init__(self):
-        if self.kind not in ("constant", "wsd"):
-            raise ValueError("schedule kind must be constant or wsd")
-        if not (0.0 <= self.decay_fraction <= 1.0):
-            raise ValueError("decay_fraction must lie in [0, 1]")
-        if not (0.0 <= self.warmup_fraction <= 1.0):
-            raise ValueError("warmup_fraction must lie in [0, 1]")
-        if self.base <= 0 or self.floor_ratio <= 0:
-            raise ValueError("base and floor_ratio must be positive")
+        raise_errors(check_fields(
+            self, kind=one_of("constant", "wsd"), base=POSITIVE,
+            warmup_fraction=FRACTION, decay_fraction=FRACTION,
+            floor_ratio=POSITIVE))
 
     def lr_at(self, step: int, total: int) -> float:
         if self.kind == "constant":
@@ -90,14 +97,11 @@ class TaskSpec:
     init_spread: float = 0.3
 
     def __post_init__(self):
-        if self.kind != "teacher_student":
-            raise ValueError("unknown task kind")
-        if self.tail < 0 or self.noise < 0 or self.feature_tail < 0:
-            raise ValueError("tail, feature_tail, noise must be non-negative")
-        if self.loss_weighting not in ("uniform", "per_sample"):
-            raise ValueError("loss_weighting must be uniform or per_sample")
-        if self.init_spread < 0:
-            raise ValueError("init_spread must be non-negative")
+        raise_errors(check_fields(
+            self, kind=one_of("teacher_student"), tail=NON_NEGATIVE,
+            feature_tail=NON_NEGATIVE, noise=NON_NEGATIVE,
+            loss_weighting=one_of("uniform", "per_sample"),
+            init_spread=NON_NEGATIVE))
 
 
 @dataclass(frozen=True)
@@ -108,10 +112,8 @@ class ExemptionRule:
     placement: str = "last"
 
     def __post_init__(self):
-        if not (0.0 <= self.fraction <= 1.0):
-            raise ValueError("fraction must lie in [0, 1]")
-        if self.placement not in ("last", "first", "none"):
-            raise ValueError("placement must be last, first, or none")
+        raise_errors(check_fields(
+            self, fraction=FRACTION, placement=one_of("last", "first", "none")))
 
     def exempt_indices(self, n_layers: int) -> frozenset:
         if self.placement == "none" or self.fraction == 0.0:
@@ -131,10 +133,8 @@ class SwitchSpec:
     scope: str = "forward"
 
     def __post_init__(self):
-        if self.scope not in ("forward", "backward", "both"):
-            raise ValueError("scope must be forward, backward, or both")
-        if self.step < 0:
-            raise ValueError("switch step must be non-negative")
+        raise_errors(check_fields(
+            self, step=NON_NEGATIVE, scope=one_of("forward", "backward", "both")))
 
     def resolve_step(self, total: int) -> int:
         if 0 < self.step < 1:
@@ -144,7 +144,7 @@ class SwitchSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    widths: tuple = (32, 64, 64, 64, 16)
+    widths: tuple[int, ...] = (32, 64, 64, 64, 16)
     steps: int = 1500
     batch_size: int = 64
     seed: int = 0
@@ -161,18 +161,18 @@ class ExperimentConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        if len(self.widths) < 2 or any(w < 1 for w in self.widths):
-            raise ValueError("widths needs at least input and output sizes")
-        if self.steps < 1 or self.batch_size < 1 or self.val_batch < 1:
-            raise ValueError("steps and batch sizes must be positive")
-        if self.val_every < 1:
-            raise ValueError("val_every must be positive")
-        if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
-            raise ValueError("Adam betas must lie in (0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
-        if self.switch is not None and self.switch.resolve_step(self.steps) > self.steps:
-            raise ValueError("switch step exceeds the run length")
+        errs = check_fields(
+            self, widths=((lambda w: len(w) >= 2 and min(w) >= 1),
+                          "must hold at least 2 layer sizes, each positive"),
+            steps=POSITIVE, batch_size=POSITIVE,
+            val_every=POSITIVE, val_batch=POSITIVE, adam_beta1=OPEN_FRACTION,
+            adam_beta2=OPEN_FRACTION, adam_eps=POSITIVE,
+            weight_decay=NON_NEGATIVE)
+        if (self.switch is not None and not errs.keys() & {"switch", "steps"}
+                and self.switch.resolve_step(self.steps) > self.steps):
+            errs["switch"] = (f"switch.step: must not exceed steps {self.steps} "
+                              f"(got {self.switch.step!r})")
+        raise_errors(errs)
 
 
 def reference_config(seed: int = 0) -> ExperimentConfig:
@@ -190,97 +190,26 @@ def reference_config(seed: int = 0) -> ExperimentConfig:
 
 # --- config (de)serialization ------------------------------------------------
 
-def _layout_to_dict(layout) -> dict:
-    return {"kind": layout.kind, "block_len": layout.block_len}
-
-
-def _layout_from_dict(d):
-    from .blockquant import cols1d, rows1d as _rows
-    kind, n = d["kind"], int(d["block_len"])
-    if kind == "rows":
-        return _rows(n)
-    if kind == "cols":
-        return cols1d(n)
-    return square2d()
-
-
-def policy_to_dict(p: PrecisionPolicy) -> dict:
-    return {
-        "quantize": p.quantize,
-        "fmt": p.fmt.name,
-        "weight_layout": _layout_to_dict(p.weight_layout),
-        "act_grad_layout": _layout_to_dict(p.act_grad_layout),
-        "rht_gemms": sorted(k.value for k in p.rht_gemms),
-        "rht_spec": {"d": p.rht_spec.d, "sign_seed": p.rht_spec.sign_seed,
-                     "randomized": p.rht_spec.randomized},
-        "sr_roles": sorted(p.sr_roles),
-        "sign_strategy": p.sign_strategy,
-        "quantize_forward": p.quantize_forward,
-        "quantize_backward": p.quantize_backward,
-        "seed": p.seed,
-        "collect_stats": p.collect_stats,
-    }
-
-
-def policy_from_dict(d: dict) -> PrecisionPolicy:
-    rs = d.get("rht_spec", {})
-    return PrecisionPolicy(
-        quantize=d.get("quantize", True),
-        fmt=FORMATS[d.get("fmt", "nvfp4")],
-        weight_layout=_layout_from_dict(d.get("weight_layout",
-                                              {"kind": "square", "block_len": 16})),
-        act_grad_layout=_layout_from_dict(d.get("act_grad_layout",
-                                                {"kind": "rows", "block_len": 16})),
-        rht_gemms=frozenset(GemmKind(v) for v in d.get("rht_gemms", ["wgrad"])),
-        rht_spec=HadamardSpec(d=rs.get("d", 16), sign_seed=rs.get("sign_seed", 0),
-                              randomized=rs.get("randomized", True)),
-        sr_roles=frozenset(d.get("sr_roles", ["gradients"])),
-        sign_strategy=d.get("sign_strategy", "fixed"),
-        quantize_forward=d.get("quantize_forward", True),
-        quantize_backward=d.get("quantize_backward", True),
-        seed=d.get("seed", 0),
-        collect_stats=d.get("collect_stats", True),
-    )
-
-
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "widths": list(cfg.widths),
-        "steps": cfg.steps,
-        "batch_size": cfg.batch_size,
-        "seed": cfg.seed,
-        "lr": dataclasses.asdict(cfg.lr),
-        "task": dataclasses.asdict(cfg.task),
-        "policy": policy_to_dict(cfg.policy),
-        "exempt": dataclasses.asdict(cfg.exempt),
-        "switch": None if cfg.switch is None else dataclasses.asdict(cfg.switch),
-        "val_every": cfg.val_every,
-        "val_batch": cfg.val_batch,
-        "adam_beta1": cfg.adam_beta1,
-        "adam_beta2": cfg.adam_beta2,
-        "adam_eps": cfg.adam_eps,
-        "weight_decay": cfg.weight_decay,
-    }
+    return to_json(cfg)
 
 
-def config_from_dict(d: dict) -> ExperimentConfig:
-    return ExperimentConfig(
-        widths=tuple(d.get("widths", (32, 64, 64, 64, 16))),
-        steps=d.get("steps", 1500),
-        batch_size=d.get("batch_size", 64),
-        seed=d.get("seed", 0),
-        lr=LRSchedule(**d.get("lr", {})),
-        task=TaskSpec(**d.get("task", {})),
-        policy=policy_from_dict(d.get("policy", {})),
-        exempt=ExemptionRule(**d.get("exempt", {})),
-        switch=None if d.get("switch") is None else SwitchSpec(**d["switch"]),
-        val_every=d.get("val_every", 250),
-        val_batch=d.get("val_batch", 512),
-        adam_beta1=d.get("adam_beta1", 0.9),
-        adam_beta2=d.get("adam_beta2", 0.95),
-        adam_eps=d.get("adam_eps", 1e-8),
-        weight_decay=d.get("weight_decay", 0.0),
-    )
+def validate_config(d) -> list[str]:
+    """Every schema violation in the config document, one message each.
+
+    Messages name the offending field with a dotted path; an empty list
+    means config_from_dict will accept the document.
+    """
+    return decode(ExperimentConfig, d)[1]
+
+
+def config_from_dict(d) -> ExperimentConfig:
+    """The config a JSON document describes; absent fields take their
+    defaults.  Raises one ValueError listing every violation, one per line."""
+    cfg, errs = decode(ExperimentConfig, d)
+    if errs:
+        raise ValueError("\n".join(errs))
+    return cfg
 
 
 def config_digest(cfg: ExperimentConfig) -> str:
@@ -446,20 +375,16 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
             for i in range(n_layers - 1, -1, -1):
                 dx, dw, traces = backward(ctxs[i], g)
                 grads[i] = dw
-                for tr in traces:
+                for tr in (*traces, ctxs[i].trace):
+                    if tr is None:
+                        continue
                     slot = agg[tr.kind.value]
                     slot["quant_error_sum"] += sum(tr.quant_error.values())
                     slot["n"] += len(tr.quant_error)
                     slot["saturated"] += tr.saturated
                     slot["underflow_to_zero"] += tr.underflow_to_zero
-                    if tr.kind == GemmKind.DGRAD and tr.consistent_weights is False:
+                    if tr.consistent_weights is False:  # Dgrad only
                         inconsistent_dgrads += 1
-                if ctxs[i].trace is not None:
-                    slot = agg[GemmKind.FPROP.value]
-                    slot["quant_error_sum"] += sum(ctxs[i].trace.quant_error.values())
-                    slot["n"] += len(ctxs[i].trace.quant_error)
-                    slot["saturated"] += ctxs[i].trace.saturated
-                    slot["underflow_to_zero"] += ctxs[i].trace.underflow_to_zero
                 if i:
                     g = dx * (zs[i - 1] > 0)
             if any(not np.isfinite(gr).all() for gr in grads):
@@ -518,72 +443,46 @@ def relative_loss_difference(baseline: float, experiment: float) -> float:
 
 # --- ablation suite ----------------------------------------------------------
 
-def _v_wide(cfg):
-    return replace(cfg, policy=replace(cfg.policy, quantize=False))
-
-
-def _v_no_sr(cfg):
-    return replace(cfg, policy=replace(cfg.policy, sr_roles=frozenset()))
-
-
-def _v_no_rht(cfg):
-    return replace(cfg, policy=replace(cfg.policy, rht_gemms=frozenset()))
-
-
-def _v_no_2d(cfg):
-    return replace(cfg, policy=replace(
-        cfg.policy, weight_layout=rows1d(cfg.policy.fmt.block_len)))
+def _policy(cfg, **changes):
+    return replace(cfg, policy=replace(cfg.policy, **changes))
 
 
 def _v_no_exempt(cfg):
     return replace(cfg, exempt=ExemptionRule(fraction=0.0, placement="none"))
 
 
-def _v_mxfp4(cfg):
-    return replace(cfg, policy=replace(
-        cfg.policy, fmt=MXFP4, weight_layout=rows1d(32),
-        act_grad_layout=rows1d(32),
-        rht_spec=replace(cfg.policy.rht_spec, d=32)))
-
-
-def _v_rht_d(d):
-    def v(cfg):
-        return replace(cfg, policy=replace(
-            cfg.policy, rht_spec=replace(cfg.policy.rht_spec, d=d)))
-    return v
-
-
-def _v_sign(strategy):
-    def v(cfg):
-        return replace(cfg, policy=replace(cfg.policy, sign_strategy=strategy))
-    return v
-
-
-def _v_switch_fwd(cfg):
-    return replace(cfg, switch=SwitchSpec(step=0.8, scope="forward"))
-
-
 def _v_stripped(cfg):
     """Every recipe component removed at once: all layers quantized,
     nearest-even everywhere, no outlier spreading, 1D weight scales."""
-    return _v_no_exempt(_v_no_2d(_v_no_rht(_v_no_sr(cfg))))
+    return _v_no_exempt(_policy(cfg, sr_roles=frozenset(), rht_gemms=frozenset(),
+                                weight_layout=rows1d(cfg.policy.fmt.block_len)))
+
+
+def _v_rht_d(d):
+    return lambda cfg: _policy(cfg, rht_spec=replace(cfg.policy.rht_spec, d=d))
+
+
+def _v_sign(strategy):
+    return lambda cfg: _policy(cfg, sign_strategy=strategy)
 
 
 VARIANTS = {
-    "wide": _v_wide,
-    "no_sr": _v_no_sr,
-    "no_rht": _v_no_rht,
-    "no_2d": _v_no_2d,
+    "wide": lambda cfg: _policy(cfg, quantize=False),
+    "no_sr": lambda cfg: _policy(cfg, sr_roles=frozenset()),
+    "no_rht": lambda cfg: _policy(cfg, rht_gemms=frozenset()),
+    "no_2d": lambda cfg: _policy(cfg, weight_layout=rows1d(cfg.policy.fmt.block_len)),
     "no_exempt": _v_no_exempt,
     "stripped": _v_stripped,
-    "mxfp4": _v_mxfp4,
+    "mxfp4": lambda cfg: _policy(cfg, fmt=MXFP4, weight_layout=rows1d(32),
+                                 act_grad_layout=rows1d(32),
+                                 rht_spec=replace(cfg.policy.rht_spec, d=32)),
     "rht_d4": _v_rht_d(4),
     "rht_d16": _v_rht_d(16),
     "rht_d128": _v_rht_d(128),
     "sign_none": _v_sign("none"),
     "sign_fixed": _v_sign("fixed"),
     "sign_per_instance": _v_sign("per_instance"),
-    "switch_fwd_80": _v_switch_fwd,
+    "switch_fwd_80": lambda cfg: replace(cfg, switch=SwitchSpec(step=0.8, scope="forward")),
 }
 
 
@@ -640,12 +539,6 @@ def paired_wins(records_a, records_b) -> int:
 
 def format_suite_table(rows: list[SuiteRow]) -> str:
     header = ["variant", "mean_final_loss", "rel_diff_vs_base", "diverged"]
-    table = [header]
-    for r in rows:
-        table.append([r.name, f"{r.mean_final_loss:.6g}",
-                      f"{r.rel_diff_vs_base:+.4f}", str(r.diverged)])
-    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-    lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
-             for row in table]
-    lines.insert(1, "-" * len(lines[0]))
-    return "\n".join(lines)
+    return text_table([header] + [
+        [r.name, f"{r.mean_final_loss:.6g}", f"{r.rel_diff_vs_base:+.4f}", str(r.diverged)]
+        for r in rows])

@@ -27,9 +27,11 @@ import numpy as np
 
 from .blockquant import (
     FormatSpec,
+    LayoutError,
     NVFP4,
     QuantizedTensor,
     ScalingLayout,
+    check_layout,
     cols1d,
     dequantize,
     quantize,
@@ -41,6 +43,7 @@ from .gemm import scaled_gemm, transpose_quantized_view
 from .hadamard import HadamardSpec, apply_rht_tiled
 from .reports import quantization_stats
 from .rng import stream_key
+from .schema import check_fields, one_of, raise_errors, subset_of
 
 
 class GemmKind(enum.Enum):
@@ -49,8 +52,8 @@ class GemmKind(enum.Enum):
     WGRAD = "wgrad"
 
 
-_SR_ROLES = frozenset({"gradients", "activations", "weights"})
-_SIGN_STRATEGIES = ("none", "fixed", "per_instance")
+_SR_ROLES = subset_of({"gradients", "activations", "weights"})
+_SIGN_STRATEGIES = one_of("none", "fixed", "per_instance")
 
 
 @dataclass(frozen=True)
@@ -73,9 +76,9 @@ class PrecisionPolicy:
     fmt: FormatSpec = NVFP4
     weight_layout: ScalingLayout = field(default_factory=square2d)
     act_grad_layout: ScalingLayout = field(default_factory=lambda: rows1d(16))
-    rht_gemms: frozenset = frozenset({GemmKind.WGRAD})
+    rht_gemms: frozenset[GemmKind] = frozenset({GemmKind.WGRAD})
     rht_spec: HadamardSpec = HadamardSpec(d=16, sign_seed=0, randomized=True)
-    sr_roles: frozenset = frozenset({"gradients"})
+    sr_roles: frozenset[str] = frozenset({"gradients"})
     sign_strategy: str = "fixed"
     quantize_forward: bool = True
     quantize_backward: bool = True
@@ -83,14 +86,16 @@ class PrecisionPolicy:
     collect_stats: bool = True
 
     def __post_init__(self):
-        if not set(self.sr_roles) <= _SR_ROLES:
-            raise ValueError(f"sr_roles must be a subset of {sorted(_SR_ROLES)}")
-        if self.sign_strategy not in _SIGN_STRATEGIES:
-            raise ValueError(f"sign_strategy must be one of {_SIGN_STRATEGIES}")
-        if self.act_grad_layout.kind == "square":
-            raise ValueError("activations and gradients use 1-D scale layouts")
-        if self.fmt.block_len != 16 and self.weight_layout.kind == "square":
-            raise ValueError("square weight tiles require a block-16 format")
+        errs = check_fields(self, sr_roles=_SR_ROLES, sign_strategy=_SIGN_STRATEGIES)
+        if "act_grad_layout" not in errs and self.act_grad_layout.kind == "square":
+            errs["act_grad_layout"] = "act_grad_layout.kind: square tiles are for weights only"
+        for name in ("weight_layout", "act_grad_layout"):
+            if "fmt" not in errs and name not in errs:
+                try:
+                    check_layout(self.fmt, getattr(self, name), name)
+                except LayoutError as e:
+                    errs[name] = str(e)
+        raise_errors(errs)
 
 
 @dataclass
@@ -150,10 +155,21 @@ class _NullStats:
     underflow_to_zero = 0
 
 
-def _stats(policy: PrecisionPolicy, values, q):
-    if not policy.collect_stats:
-        return _NullStats
-    return quantization_stats(values, q)
+def _trace(policy: PrecisionPolicy, kind: GemmKind, operands,
+           consistent_weights: bool | None = None) -> GemmTrace:
+    """The trace of one GEMM from its two operands, each given as (name,
+    values before quantization, quantized tensor, rounding mode)."""
+    stats = {name: quantization_stats(values, q) if policy.collect_stats else _NullStats
+             for name, values, q, _ in operands}
+    return GemmTrace(
+        kind=kind,
+        quant_error={name: s.rel_fro_error for name, s in stats.items()},
+        saturated=sum(s.saturated for s in stats.values()),
+        underflow_to_zero=sum(s.underflow_to_zero for s in stats.values()),
+        layouts={name: f"{q.fmt.name}/{q.layout.kind}" for name, _, q, _ in operands},
+        rounding={name: type(mode).__name__ for name, _, _, mode in operands},
+        consistent_weights=consistent_weights,
+    )
 
 
 def _mode(policy: PrecisionPolicy, role: str, layer_index: int, step: int,
@@ -207,17 +223,9 @@ def forward(layer: LinearLayerState, x, policy: PrecisionPolicy,
     mode_w = _mode(policy, "weights", layer.layer_index, step, "fprop/w")
     qx = quantize(a, fmt, _as_rows(policy.act_grad_layout), mode_x)
     qw = quantize(b, fmt, _as_cols(policy.weight_layout), mode_w)
-    sx, sw = _stats(policy, a, qx), _stats(policy, b, qw)
+    trace = _trace(policy, GemmKind.FPROP,
+                   (("input", a, qx, mode_x), ("weight", b, qw, mode_w)))
     y = scaled_gemm(qx, qw)
-    trace = GemmTrace(
-        kind=GemmKind.FPROP,
-        quant_error={"input": sx.rel_fro_error, "weight": sw.rel_fro_error},
-        saturated=sx.saturated + sw.saturated,
-        underflow_to_zero=sx.underflow_to_zero + sw.underflow_to_zero,
-        layouts={"input": f"{qx.fmt.name}/{qx.layout.kind}",
-                 "weight": f"{qw.fmt.name}/{qw.layout.kind}"},
-        rounding={"input": type(mode_x).__name__, "weight": type(mode_w).__name__},
-    )
     # The forward encoding is reusable by Dgrad only if it encodes the raw
     # weights (no transform) in square tiles.
     reusable = qw if (not transformed and policy.weight_layout.kind == "square") else None
@@ -251,7 +259,8 @@ def backward(ctx: FwdContext, dy):
         a, b = _rht_pair(a, b, spec)
     mode_g = _mode(policy, "gradients", li, step, "dgrad/dy")
     qdy = quantize(a, fmt, _as_rows(policy.act_grad_layout), mode_g)
-    if not transformed and policy.weight_layout.kind == "square" and ctx.qweight is not None:
+    reuse = not transformed and ctx.qweight is not None
+    if reuse:
         qw = transpose_quantized_view(ctx.qweight)
         mode_w = NEAREST
     else:
@@ -259,20 +268,13 @@ def backward(ctx: FwdContext, dy):
         qw = quantize(b, fmt, _as_cols(policy.weight_layout), mode_w)
     consistent = None
     if policy.collect_stats and ctx.qweight is not None:
-        consistent = bool(np.array_equal(dequantize(qw),
-                                         dequantize(ctx.qweight).T))
-    sg, sw = _stats(policy, a, qdy), _stats(policy, b, qw)
+        # a view of the forward encoding matches it by construction
+        consistent = reuse or bool(np.array_equal(dequantize(qw),
+                                                  dequantize(ctx.qweight).T))
+    traces.append(_trace(policy, GemmKind.DGRAD,
+                         (("grad_out", a, qdy, mode_g), ("weight", b, qw, mode_w)),
+                         consistent))
     dx = scaled_gemm(qdy, qw)
-    traces.append(GemmTrace(
-        kind=GemmKind.DGRAD,
-        quant_error={"grad_out": sg.rel_fro_error, "weight": sw.rel_fro_error},
-        saturated=sg.saturated + sw.saturated,
-        underflow_to_zero=sg.underflow_to_zero + sw.underflow_to_zero,
-        layouts={"grad_out": f"{qdy.fmt.name}/{qdy.layout.kind}",
-                 "weight": f"{qw.fmt.name}/{qw.layout.kind}"},
-        rounding={"grad_out": type(mode_g).__name__, "weight": type(mode_w).__name__},
-        consistent_weights=consistent,
-    ))
 
     # Wgrad: dW = dy.T @ x, contracted over the batch.
     a2, b2 = dy.T, x
@@ -283,17 +285,9 @@ def backward(ctx: FwdContext, dy):
     mode_x2 = _mode(policy, "activations", li, step, "wgrad/x")
     qg = quantize(a2, fmt, _as_rows(policy.act_grad_layout), mode_g2)
     qx = quantize(b2, fmt, _as_cols(policy.act_grad_layout), mode_x2)
-    sg2, sx2 = _stats(policy, a2, qg), _stats(policy, b2, qx)
+    traces.append(_trace(policy, GemmKind.WGRAD,
+                         (("grad_out", a2, qg, mode_g2), ("input", b2, qx, mode_x2))))
     dW = scaled_gemm(qg, qx)
-    traces.append(GemmTrace(
-        kind=GemmKind.WGRAD,
-        quant_error={"grad_out": sg2.rel_fro_error, "input": sx2.rel_fro_error},
-        saturated=sg2.saturated + sx2.saturated,
-        underflow_to_zero=sg2.underflow_to_zero + sx2.underflow_to_zero,
-        layouts={"grad_out": f"{qg.fmt.name}/{qg.layout.kind}",
-                 "input": f"{qx.fmt.name}/{qx.layout.kind}"},
-        rounding={"grad_out": type(mode_g2).__name__, "input": type(mode_x2).__name__},
-    ))
     return dx, dW, traces
 
 

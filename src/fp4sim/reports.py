@@ -247,6 +247,15 @@ def analyze_tensor(x, fmt: FormatSpec, layout: ScalingLayout | None = None,
     return replace(quantization_stats(x, q), layout=name)
 
 
+def text_table(rows: list[list[str]]) -> str:
+    """Left-aligned columns two spaces apart, a rule under the header row."""
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip()
+             for r in rows]
+    lines.insert(1, "-" * len(lines[0]))
+    return "\n".join(lines)
+
+
 def format_report_table(reports: list[TensorReport]) -> str:
     """Fixed-width text table, one row per report."""
     cols = ["fmt", "layout", "sqnr_db", "max_rel_error", "saturated",
@@ -264,8 +273,4 @@ def format_report_table(reports: list[TensorReport]) -> str:
             else:
                 row.append(str(v))
         rows.append(row)
-    widths = [max(len(r[i]) for r in rows) for i in range(len(cols))]
-    lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip()
-             for r in rows]
-    lines.insert(1, "-" * len(lines[0]))
-    return "\n".join(lines)
+    return text_table(rows)

@@ -42,12 +42,11 @@ import numpy as np
 from .blockquant import (
     FORMATS,
     FormatSpec,
+    LayoutError,
     QuantizedTensor,
     ScalingLayout,
     block_decompose,
-    cols1d,
-    rows1d,
-    square2d,
+    check_layout,
 )
 from .codecs import E2M1_MAX, E4M3_MAX
 
@@ -83,7 +82,7 @@ def _unpack_codes(raw: np.ndarray, padded_shape: tuple[int, int]) -> np.ndarray:
     return flat[:n].reshape(padded_shape)
 
 
-def _atomic_write(path: str, buffers) -> None:
+def atomic_write(path: str, buffers) -> None:
     """Write the buffers one after another to a temp file, then rename it
     over path, so readers never observe a partial file."""
     d = os.path.dirname(os.path.abspath(path))
@@ -121,26 +120,7 @@ def write_tensor(path: str, t: np.ndarray | QuantizedTensor) -> None:
         header = _HEADER.pack(MAGIC, VERSION, 0, 0, 0, 0, 0,
                               x.shape[0], x.shape[1], 0.0)
         payload = [_bytes_of(np.ascontiguousarray(x))]
-    _atomic_write(path, [header, *payload])
-
-
-def _layout_from_bytes(kind_byte: int, block_len: int,
-                       fmt: FormatSpec) -> ScalingLayout:
-    kind = _KIND_NAME.get(kind_byte)
-    if kind is None:
-        raise TensorFileError(f"unknown layout kind byte {kind_byte} at offset 7")
-    if kind == "square":
-        if block_len != 16 or fmt.block_len != 16:
-            raise TensorFileError(
-                f"square layout requires block length 16 and a block-16 "
-                f"format; block_len at offset 8 is {block_len}, format "
-                f"{fmt.name}")
-        return square2d()
-    if block_len != fmt.block_len:
-        raise TensorFileError(
-            f"block_len at offset 8 is {block_len}; {fmt.name} uses "
-            f"{fmt.block_len}")
-    return rows1d(block_len) if kind == "rows" else cols1d(block_len)
+    atomic_write(path, [header, *payload])
 
 
 def _read_exact(f, a: np.ndarray, offset: int) -> None:
@@ -230,7 +210,15 @@ def read_tensor(path: str) -> np.ndarray | QuantizedTensor:
         if fmt_name is None:
             raise TensorFileError(f"unknown format byte {fmt_byte} at offset 6")
         fmt = FORMATS[fmt_name]
-        layout = _layout_from_bytes(kind_byte, block_len, fmt)
+        kind = _KIND_NAME.get(kind_byte)
+        if kind is None:
+            raise TensorFileError(f"unknown layout kind byte {kind_byte} at offset 7")
+        try:
+            layout = ScalingLayout(kind, block_len)
+            check_layout(fmt, layout)
+        except LayoutError as e:
+            raise TensorFileError(f"block_len at offset 8 is {block_len}, which a "
+                                  f"{kind} layout of {fmt.name} does not allow: {e}") from None
         # the largest decoded value is 6 * 448 * s_dec; the encoder keeps
         # it finite
         if fmt.has_tensor_scale and not (

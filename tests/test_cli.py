@@ -345,3 +345,34 @@ def test_validate_config_switch_bounds():
     assert validate_config({"steps": 100, "switch": {"step": 200}})
     assert validate_config({"steps": 100, "switch": {"step": 0.5}}) == []
     assert validate_config({"steps": 100, "switch": None}) == []
+
+
+@pytest.mark.parametrize("field,path", [
+    ({"lr": {"base": float("nan")}}, "lr.base"),
+    ({"task": {"tail": float("nan")}}, "task.tail"),
+    ({"adam_eps": float("inf")}, "adam_eps"),
+    ({"switch": {"step": float("inf")}}, "switch.step"),
+    ({"switch": {"step": float("nan")}}, "switch.step"),
+    ({"switch": {}}, "switch.step"),
+    ({"policy": {"fmt": ["nvfp4"]}}, "policy.fmt"),
+    ({"policy": {"weight_layout": {"kind": "square", "block_len": 7}}},
+     "policy.weight_layout.block_len"),
+    ({"lr": {"base": 1}}, None),  # an int in a float field: stored as 1.0
+])
+def test_run_numbers_follow_one_rule(tmp_path, capsys, field, path):
+    # non-finite numbers and malformed values exit 4 naming their dotted
+    # path, never run or crash; an int for a float is the same config
+    out = str(tmp_path / "out")
+    code = main(["run", "--config", _tiny_config(tmp_path, **field), "--out-dir", out])
+    got = capsys.readouterr()
+    if path is None:
+        assert code == 0
+        digest = got.out.split()[1]
+        assert main(["run", "--config", _tiny_config(tmp_path, lr={"base": 1.0}),
+                     "--out-dir", out]) == 0
+        assert capsys.readouterr().out.split()[1] == digest
+        return
+    assert code == 4
+    lines = got.err.splitlines()
+    assert lines and all(l.startswith(f"config error: {path}: ") for l in lines)
+    assert not os.path.exists(out)

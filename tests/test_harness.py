@@ -8,7 +8,11 @@ import types
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fp4sim.blockquant import MXFP4, NVFP4, cols1d, rows1d, square2d
+from fp4sim.hadamard import HadamardSpec
 from fp4sim.harness import (
     ExemptionRule,
     ExperimentConfig,
@@ -28,6 +32,7 @@ from fp4sim.harness import (
     relative_loss_difference,
     run_ablation_suite,
     run_experiment,
+    validate_config,
 )
 from fp4sim.linear import GemmKind, PrecisionPolicy
 
@@ -276,3 +281,111 @@ def test_sign_strategy_band():
         finals[name] = np.mean(f)
     ratio = finals["sign_fixed"] / finals["sign_per_instance"]
     assert 0.5 < ratio < 2.0
+
+
+# --- the schema, as a property ----------------------------------------------
+
+_FORMAT_LAYOUTS = {  # format -> (weight layouts, activation/gradient layouts)
+    NVFP4: ([square2d(), rows1d(16), cols1d(16)], [rows1d(16), cols1d(16)]),
+    MXFP4: ([rows1d(32), cols1d(32)], [rows1d(32), cols1d(32)]),
+}
+_positive = st.floats(1e-300, 1e300) | st.integers(1, 10)  # ints become floats
+_non_negative = st.floats(0.0, 1e300) | st.integers(0, 10)
+_fraction = st.floats(0.0, 1.0) | st.sampled_from([0, 1])
+_open_fraction = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def _policies(draw):
+    fmt = draw(st.sampled_from(sorted(_FORMAT_LAYOUTS, key=lambda f: f.name)))
+    weight_layouts, act_layouts = _FORMAT_LAYOUTS[fmt]
+    return PrecisionPolicy(
+        quantize=draw(st.booleans()),
+        fmt=fmt,
+        weight_layout=draw(st.sampled_from(weight_layouts)),
+        act_grad_layout=draw(st.sampled_from(act_layouts)),
+        rht_gemms=draw(st.frozensets(st.sampled_from(list(GemmKind)))),
+        rht_spec=HadamardSpec(d=2 ** draw(st.integers(1, 8)),
+                              sign_seed=draw(st.integers(0, 2 ** 64)),
+                              randomized=draw(st.booleans())),
+        sr_roles=draw(st.frozensets(
+            st.sampled_from(["gradients", "activations", "weights"]))),
+        sign_strategy=draw(st.sampled_from(["none", "fixed", "per_instance"])),
+        quantize_forward=draw(st.booleans()),
+        quantize_backward=draw(st.booleans()),
+        seed=draw(st.integers(-2 ** 40, 2 ** 40)),
+        collect_stats=draw(st.booleans()),
+    )
+
+
+@st.composite
+def _configs(draw):
+    steps = draw(st.integers(1, 5000))
+    cfg = ExperimentConfig(
+        widths=tuple(draw(st.lists(st.integers(1, 512), min_size=2, max_size=6))),
+        steps=steps,
+        batch_size=draw(st.integers(1, 4096)),
+        seed=draw(st.integers(-2 ** 40, 2 ** 40)),
+        lr=LRSchedule(kind=draw(st.sampled_from(["constant", "wsd"])),
+                      base=draw(_positive), warmup_fraction=draw(_fraction),
+                      decay_fraction=draw(_fraction), floor_ratio=draw(_positive)),
+        task=TaskSpec(tail=draw(_non_negative), feature_tail=draw(_non_negative),
+                      noise=draw(_non_negative),
+                      loss_weighting=draw(st.sampled_from(["uniform", "per_sample"])),
+                      init_near_teacher=draw(st.booleans()),
+                      init_spread=draw(_non_negative)),
+        policy=draw(_policies()),
+        exempt=ExemptionRule(fraction=draw(_fraction),
+                             placement=draw(st.sampled_from(["last", "first", "none"]))),
+        switch=draw(st.none() | st.builds(
+            SwitchSpec, step=st.floats(0.0, steps) | st.integers(0, steps),
+            scope=st.sampled_from(["forward", "backward", "both"]))),
+        val_every=draw(st.integers(1, 10 ** 6)),
+        val_batch=draw(st.integers(1, 4096)),
+        adam_beta1=draw(_open_fraction),
+        adam_beta2=draw(_open_fraction),
+        adam_eps=draw(_positive),
+        weight_decay=draw(_non_negative),
+    )
+    variant = draw(st.sampled_from([None, *sorted(VARIANTS)]))
+    return cfg if variant is None else VARIANTS[variant](cfg)
+
+
+def _leaves(doc, path=""):
+    if not isinstance(doc, dict):
+        yield path
+        return
+    for key, value in doc.items():
+        yield from _leaves(value, f"{path}.{key}" if path else key)
+
+
+def _with_leaf(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path.split(".")
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+# No field accepts these; each of the others is out of range or of the
+# wrong type for most fields, and valid for the rest.
+_NEVER_VALID = [float("nan"), float("inf"), "x", {"bad": 1}]
+_SOMETIMES_VALID = [-1, 0, 1.5, True, None, []]
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=_configs())
+def test_schema_round_trip_and_dotted_paths(cfg):
+    doc = config_to_dict(cfg)
+    assert validate_config(doc) == []
+    back = config_from_dict(json.loads(json.dumps(doc)))
+    assert back == cfg
+    assert config_digest(back) == config_digest(cfg)
+    for path in _leaves(doc):
+        for i, bad in enumerate(_NEVER_VALID + _SOMETIMES_VALID):
+            msgs = validate_config(_with_leaf(doc, path, bad))
+            assert msgs or i >= len(_NEVER_VALID), (path, bad)
+            assert all(m.startswith((f"{path}:", f"{path}.")) for m in msgs), (
+                path, bad, msgs)

@@ -1,12 +1,16 @@
 """Quantized linear layer: forward/backward plumbing, trace contents,
 chain-rule consistency, stochastic-rounding bias, and transform effects."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import fp4sim.linear as linear_module
 from fp4sim.blockquant import MXFP4, cols1d, rows1d, square2d
 from fp4sim.codecs import E2M1_GRID
 from fp4sim.hadamard import HadamardSpec
+from fp4sim.harness import reference_config, run_experiment
 from fp4sim.linear import (
     GemmKind,
     LinearLayerState,
@@ -318,3 +322,37 @@ def test_mxfp4_policy_runs():
 def test_layer_weights_must_be_2d():
     with pytest.raises(ValueError):
         LinearLayerState(weights=np.zeros(8))
+
+
+def test_policy_applies_the_layout_format_rule():
+    # mxfp4 with the default rows16 activation layout used to construct and
+    # then run as a divergence at step 0 (final loss inf)
+    base = PrecisionPolicy()
+    with pytest.raises(ValueError, match=r"^act_grad_layout\.block_len: ") as e:
+        replace(base, fmt=MXFP4, weight_layout=rows1d(32))
+    assert "weight_layout" not in str(e.value)
+    with pytest.raises(ValueError, match=r"^weight_layout\.kind: square tiles"):
+        replace(base, fmt=MXFP4, act_grad_layout=rows1d(32))
+
+
+def test_dgrad_reuse_decodes_nothing_for_the_consistency_check(monkeypatch):
+    calls = []
+    real = linear_module.dequantize
+    monkeypatch.setattr(linear_module, "dequantize",
+                        lambda q: calls.append(q) or real(q))
+    rng = np.random.default_rng(16)
+    layer = _layer(rng, 16, 16)
+    _, ctx = forward(layer, rng.standard_normal((8, 16)), PrecisionPolicy())
+    assert ctx.qweight is not None
+    _, _, traces = backward(ctx, rng.standard_normal((8, 16)))
+    assert traces[0].consistent_weights is True
+    assert calls == []
+
+
+def test_dgrad_requantize_still_compares_the_weights():
+    # Dgrad-only RHT requantizes the weights, which then differ from the
+    # forward encoding on every Dgrad of the three quantized layers
+    cfg = reference_config(0)
+    cfg = replace(cfg, steps=3, policy=replace(
+        cfg.policy, rht_gemms=frozenset({GemmKind.DGRAD})))
+    assert run_experiment(cfg).trace_summary["inconsistent_dgrads"] == 9
