@@ -1,17 +1,20 @@
-"""Two-level block-scaled 4-bit quantization of 2-D tensors.
+"""Block-scaled 4-bit quantization of 2-D tensors: one pipeline, two formats.
 
-Two formats:
+A format is its block length, scale codec, and scale rule.  quantize cuts
+the padded tensor into blocks and takes each block's amax_b = max|x_i|; the
+scale rule turns these into the stored scale codes, the encode multipliers
+s_enc_b and the tensor decode scale; the codes are e2m1(x_i * s_enc_b),
+nearest-even or stochastic.  The result keeps amax_b and s_enc_b.
 
 * ``NVFP4``: blocks of 16 share an E4M3 (fractional) scale, plus one FP32
   tensor-level scale chosen so the largest block scale lands at the top of
-  the E4M3 range.  Encoding pipeline for tensor x with amax_x = max|x|:
+  the E4M3 range.  With amax_x = max|x|, the rule is:
 
       s_enc      = (6 * 448) / amax_x            tensor encode scale
       s_dec      = 1 / s_enc                     tensor decode scale (FP32 grid)
       s_dec_b    = amax_b / 6                    ideal per-block decode scale
       scale_code = e4m3_rne(s_dec_b * s_enc)     stored per block
       s_enc_b    = 1 / (decode(scale_code) * s_dec)
-      codes      = e2m1(x_i * s_enc_b)
 
   and dequantization is code * decode(scale_code) * s_dec.  With
   u_b = decode(scale_code) * s_dec the block's unit, each element decodes to
@@ -34,14 +37,17 @@ Two formats:
   2^-9 * s_dec is still a normal float64.  A smaller nonzero amax raises
   ScaleRangeError.
 
-* ``MXFP4``: blocks of 32 share a UE8M0 (power-of-two) scale, no tensor
+* ``MXFP4``: blocks of 32 share a UE8M0 (power-of-two) scale 2^k, no tensor
   scale.  The stored scale is the smallest power of two >= amax_b / 6, which
   makes encoding saturation-free by construction but can leave the top two
   magnitude codes unused when amax_b sits just above a power of two; an
   element's error is at most amax_b / 3.  Scales clamp at the smallest code,
   2^-127, so elements at most 2^-129 round to zero there, and a block whose
   amax is at most 2^-129 flushes to zero: its error bound is
-  max(amax_b / 3, 2^-129).
+  max(amax_b / 3, 2^-129).  A block amax above 6 * 2^127 raises
+  ScaleRangeError.  The encode multiplier s_enc_b = 2^-k is exact, and
+  x_i * 2^-k and x_i / 2^k both round the same real number, so the
+  multiply gives the bits of a division by the scale, subnormals included.
 
 Scaling layouts tile a (R, C) tensor with (1, L) row segments, (L, 1) column
 segments, or 16x16 squares.  Tensors are zero-padded up to block multiples
@@ -51,6 +57,7 @@ row-major order over the block grid.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,13 +90,16 @@ class LayoutError(QuantizationError):
 
 @dataclass(frozen=True)
 class FormatSpec:
-    """Name, block length, scale codec, and whether a tensor-level decode
-    scale accompanies the block scales."""
+    """Name, block length, scale codec, whether a tensor-level decode scale
+    accompanies the block scales, and the scale rule: finite block amaxes ->
+    (scale codes, encode multipliers, tensor decode scale or None).  The
+    rule stays out of the repr, which would print its address."""
 
     name: str
     block_len: int
     scale_codec: str  # "e4m3" | "ue8m0"
     has_tensor_scale: bool
+    scale_rule: Callable[[np.ndarray], tuple] = field(repr=False)
 
     def __post_init__(self):
         if self.scale_codec not in ("e4m3", "ue8m0"):
@@ -98,8 +108,76 @@ class FormatSpec:
             raise ValueError("block_len must be positive")
 
 
-NVFP4 = FormatSpec("nvfp4", 16, "e4m3", True)
-MXFP4 = FormatSpec("mxfp4", 32, "ue8m0", False)
+# Smallest nonzero tensor amax nvfp4 encodes.  At it the decode product of
+# the smallest positive E4M3 scale, 2^-9 * s_dec, is the smallest normal
+# float64; below it that product loses bits, and further down its reciprocal
+# (the encode multiplier of an all-zero block) or s_enc itself overflows.
+NVFP4_MIN_AMAX = (E2M1_MAX * E4M3_MAX * np.finfo(np.float64).tiny
+                  / E4M3_SMALLEST_POSITIVE)
+
+
+def global_encode_scale(amax_tensor: float) -> tuple[float, float]:
+    """Tensor-level (encode, decode) scale pair for nvfp4.
+
+    s_enc maps the tensor amax to E2M1_MAX * E4M3_MAX so the largest block
+    scale uses the full E4M3 range; s_dec is its reciprocal (kept in wide
+    precision; the FP32 grid is coarser, and rounding there would only
+    shift both levels by the same factor).  A nonzero amax below
+    NVFP4_MIN_AMAX raises ScaleRangeError.
+    """
+    if not np.isfinite(amax_tensor) or amax_tensor < 0:
+        raise QuantizationError("amax must be finite and non-negative")
+    if amax_tensor == 0:
+        return 1.0, 1.0
+    if amax_tensor < NVFP4_MIN_AMAX:
+        raise ScaleRangeError(
+            f"tensor amax {float(amax_tensor)!r} is outside the nvfp4 scale "
+            f"range: a nonzero amax must be at least {NVFP4_MIN_AMAX!r}")
+    s_enc = (E2M1_MAX * E4M3_MAX) / amax_tensor
+    return s_enc, 1.0 / s_enc
+
+
+def nvfp4_block_scales(amax_blocks: np.ndarray, s_enc: float,
+                       s_dec: float) -> tuple[np.ndarray, np.ndarray]:
+    """Stored E4M3 scale codes and per-block encode multipliers.
+
+    The ideal decode scale amax_b / 6 is pre-multiplied by s_enc, rounded to
+    E4M3, and inverted against s_dec so encode * decode is exactly the
+    stored-scale product.  All-zero blocks store the smallest positive scale
+    code (a zero code would make the encode multiplier undefined); blocks
+    whose scale underflows E4M3 to zero get a zero multiplier, which zeroes
+    their codes.  amax_blocks must be finite; it is not checked again.
+    """
+    codes = _encode_e4m3((amax_blocks / E2M1_MAX) * s_enc)
+    codes[amax_blocks == 0] = E4M3_SMALLEST_POSITIVE_CODE
+    return codes, _multipliers(E4M3_VALUES[codes], s_dec)  # never a NaN code
+
+
+def _multipliers(decoded: np.ndarray, s_dec: float) -> np.ndarray:
+    """1 / (decoded block scale * s_dec), and 0 for a zero scale."""
+    with np.errstate(divide="ignore"):
+        return np.where(decoded > 0, 1.0 / (decoded * s_dec), 0.0)
+
+
+def _nvfp4_scale_rule(amax_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    s_enc, s_dec = global_encode_scale(float(amax_b.max()))
+    return (*nvfp4_block_scales(amax_b, s_enc, s_dec), s_dec)
+
+
+def _mxfp4_scale_rule(amax_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, None]:
+    # Round the ideal scale UP to a power of two: the scaled amax then never
+    # exceeds 6, so encoding cannot saturate.  Scales below 2^-127 clamp to
+    # it, including an ideal scale that underflows to zero (amax_b of a few
+    # subnormals).
+    codes = np.zeros(amax_b.size, dtype=np.uint8)
+    nz = amax_b > 0
+    if nz.any():
+        codes[nz] = encode_ue8m0_roundup(np.maximum(amax_b[nz] / E2M1_MAX, 2.0 ** -127))
+    return codes, 1.0 / decode_ue8m0(codes), None
+
+
+NVFP4 = FormatSpec("nvfp4", 16, "e4m3", True, _nvfp4_scale_rule)
+MXFP4 = FormatSpec("mxfp4", 32, "ue8m0", False, _mxfp4_scale_rule)
 
 FORMATS = {f.name: f for f in (NVFP4, MXFP4)}
 
@@ -352,55 +430,6 @@ class QuantizedTensor:
         return self
 
 
-# Smallest nonzero tensor amax nvfp4 encodes.  At it the decode product of
-# the smallest positive E4M3 scale, 2^-9 * s_dec, is the smallest normal
-# float64; below it that product loses bits, and further down its reciprocal
-# (the encode multiplier of an all-zero block) or s_enc itself overflows.
-NVFP4_MIN_AMAX = (E2M1_MAX * E4M3_MAX * np.finfo(np.float64).tiny
-                  / E4M3_SMALLEST_POSITIVE)
-
-
-def global_encode_scale(amax_tensor: float) -> tuple[float, float]:
-    """Tensor-level (encode, decode) scale pair for nvfp4.
-
-    s_enc maps the tensor amax to E2M1_MAX * E4M3_MAX so the largest block
-    scale uses the full E4M3 range; s_dec is its reciprocal (kept in wide
-    precision; the FP32 grid is coarser, and rounding there would only
-    shift both levels by the same factor).  A nonzero amax below
-    NVFP4_MIN_AMAX raises ScaleRangeError.
-    """
-    if not np.isfinite(amax_tensor) or amax_tensor < 0:
-        raise QuantizationError("amax must be finite and non-negative")
-    if amax_tensor == 0:
-        return 1.0, 1.0
-    if amax_tensor < NVFP4_MIN_AMAX:
-        raise ScaleRangeError(
-            f"tensor amax {float(amax_tensor)!r} is outside the nvfp4 scale "
-            f"range: a nonzero amax must be at least {NVFP4_MIN_AMAX!r}")
-    s_enc = (E2M1_MAX * E4M3_MAX) / amax_tensor
-    return s_enc, 1.0 / s_enc
-
-
-def nvfp4_block_scales(amax_blocks: np.ndarray, s_enc: float,
-                       s_dec: float) -> tuple[np.ndarray, np.ndarray]:
-    """Stored E4M3 scale codes and per-block encode multipliers.
-
-    The ideal decode scale amax_b / 6 is pre-multiplied by s_enc, rounded to
-    E4M3, and inverted against s_dec so encode * decode is exactly the
-    stored-scale product.  All-zero blocks store the smallest positive scale
-    code (a zero code would make the encode multiplier undefined); blocks
-    whose scale underflows E4M3 to zero get a zero multiplier, which zeroes
-    their codes.  amax_blocks must be finite; it is not checked again.
-    """
-    target = (amax_blocks / E2M1_MAX) * s_enc
-    codes = _encode_e4m3(target)
-    codes[amax_blocks == 0] = E4M3_SMALLEST_POSITIVE_CODE
-    decoded = E4M3_VALUES[codes]  # the encoder never writes a NaN code
-    with np.errstate(divide="ignore"):
-        enc = np.where(decoded > 0, 1.0 / (decoded * s_dec), 0.0)
-    return codes, enc
-
-
 def _sr_counters(mode: RoundingMode, bm: BlockMap) -> np.ndarray | None:
     """Padded-tensor element positions in block order, which key the
     stochastic-rounding uniforms; nearest-even rounding reads none."""
@@ -410,21 +439,18 @@ def _sr_counters(mode: RoundingMode, bm: BlockMap) -> np.ndarray | None:
     return _to_blocks(positions.reshape(bm.padded_shape), bm)
 
 
-def quantize_nvfp4(x, layout: ScalingLayout = rows1d(16),
-                   mode: RoundingMode = NEAREST) -> QuantizedTensor:
-    """Encode a 2-D tensor as nvfp4 under `layout`.
-
-    Raises ScaleRangeError, before any encoding, when the tensor amax is
-    nonzero but below NVFP4_MIN_AMAX.
-    """
+def quantize(x, fmt: FormatSpec, layout: ScalingLayout | None = None,
+             mode: RoundingMode = NEAREST) -> QuantizedTensor:
+    """Encode a 2-D tensor in fmt under layout (default: rows of the format's
+    block length); only the format's scale rule differs between formats."""
     x = _check_input(x)
-    check_layout(NVFP4, layout)
+    if layout is None:
+        layout = rows1d(fmt.block_len)
+    check_layout(fmt, layout)
     bm = block_decompose(x.shape, layout)
-    xp = _pad(x, bm)
-    blocks = _to_blocks(xp, bm)
+    blocks = _to_blocks(_pad(x, bm), bm)
     amax_b = _block_amax(x, blocks)
-    s_enc, s_dec = global_encode_scale(float(amax_b.max()))
-    scale_codes, enc = nvfp4_block_scales(amax_b, s_enc, s_dec)
+    scale_codes, enc, s_dec = fmt.scale_rule(amax_b)
     scaled = np.multiply(blocks, enc[:, None], out=_spare(x, blocks))
     codes = _encode_e2m1(scaled, mode, counters=_sr_counters(mode, bm))
     return QuantizedTensor(
@@ -432,50 +458,24 @@ def quantize_nvfp4(x, layout: ScalingLayout = rows1d(16),
         codes=_from_blocks(codes, bm).astype(np.uint8),
         scale_codes=scale_codes.reshape(bm.grid_shape),
         layout=layout,
-        fmt=NVFP4,
+        fmt=fmt,
         global_decode_scale=s_dec,
     )._keep_record(amax_b, enc)
 
 
+def quantize_nvfp4(x, layout: ScalingLayout = rows1d(16),
+                   mode: RoundingMode = NEAREST) -> QuantizedTensor:
+    """Encode a 2-D tensor as nvfp4 under `layout`.
+
+    Raises ScaleRangeError, before any encoding, when the tensor amax is
+    nonzero but below NVFP4_MIN_AMAX.
+    """
+    return quantize(x, NVFP4, layout, mode)
+
+
 def quantize_mxfp4(x, layout: ScalingLayout = rows1d(32),
                    mode: RoundingMode = NEAREST) -> QuantizedTensor:
-    x = _check_input(x)
-    check_layout(MXFP4, layout)
-    bm = block_decompose(x.shape, layout)
-    xp = _pad(x, bm)
-    blocks = _to_blocks(xp, bm)
-    amax_b = _block_amax(x, blocks)
-    # Round the ideal scale UP to a power of two: the scaled amax then never
-    # exceeds 6, so encoding cannot saturate.  Scales below 2^-127 clamp to
-    # it, including an ideal scale that underflows to zero (amax_b of a few
-    # subnormals).
-    scale_codes = np.zeros(bm.n_blocks, dtype=np.uint8)
-    nz = amax_b > 0
-    if nz.any():
-        scale_codes[nz] = encode_ue8m0_roundup(
-            np.maximum(amax_b[nz] / E2M1_MAX, 2.0 ** -127))
-    decoded = decode_ue8m0(scale_codes)
-    scaled = np.divide(blocks, decoded[:, None], out=_spare(x, blocks))
-    codes = _encode_e2m1(scaled, mode, counters=_sr_counters(mode, bm))
-    return QuantizedTensor(
-        shape=tuple(x.shape),
-        codes=_from_blocks(codes, bm).astype(np.uint8),
-        scale_codes=scale_codes.reshape(bm.grid_shape),
-        layout=layout,
-        fmt=MXFP4,
-        global_decode_scale=None,
-    )._keep_record(amax_b, 1.0 / decoded)
-
-
-def quantize(x, fmt: FormatSpec, layout: ScalingLayout | None = None,
-             mode: RoundingMode = NEAREST) -> QuantizedTensor:
-    if layout is None:
-        layout = rows1d(fmt.block_len)
-    if fmt.name == "nvfp4":
-        return quantize_nvfp4(x, layout, mode)
-    if fmt.name == "mxfp4":
-        return quantize_mxfp4(x, layout, mode)
-    raise ValueError(f"unknown format {fmt.name!r}")
+    return quantize(x, MXFP4, layout, mode)
 
 
 def encode_multipliers(q: QuantizedTensor) -> np.ndarray:
@@ -485,10 +485,8 @@ def encode_multipliers(q: QuantizedTensor) -> np.ndarray:
     saw before E2M1 rounding; they equal the quantizer's record (_enc_b), so
     the stats need them only for a tensor without one.
     """
-    decoded = q.scale_values()
-    s_dec = q.global_decode_scale if q.fmt.has_tensor_scale else 1.0
-    with np.errstate(divide="ignore"):
-        return np.where(decoded > 0, 1.0 / (decoded * s_dec), 0.0)
+    return _multipliers(q.scale_values(),
+                        q.global_decode_scale if q.fmt.has_tensor_scale else 1.0)
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:

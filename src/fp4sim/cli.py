@@ -31,7 +31,6 @@ from .blockquant import (
     LayoutError,
     QuantizedTensor,
     quantize,
-    rows1d,
 )
 from .codecs import (
     NEAREST,
@@ -88,18 +87,32 @@ def _load_config(path: str):
     return (None if violations else config_from_dict(doc)), violations
 
 
+def _rht_spec(text: str) -> HadamardSpec | None:
+    """--rht-d: 0 (no transform) or a Hadamard size, a power of two >= 2."""
+    try:
+        d = int(text)
+        return HadamardSpec(d=d) if d else None
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e))
+
+
+def _seeds(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers (got {text!r})")
+
+
 # --- subcommands ---------------------------------------------------------------
 
 def _cmd_quantize(args) -> int:
     x = _read_wide(args.input)
     check_finite(x, f"{args.input}: ")
-    fmt = FORMATS[args.format]
-    layout = LAYOUTS[args.layout] if args.layout else rows1d(fmt.block_len)
     mode = (Stochastic(key_parts=("cli-quantize", args.seed))
             if args.round == "sr" else NEAREST)
-    q = quantize(x, fmt, layout, mode)
+    q = quantize(x, FORMATS[args.format], LAYOUTS.get(args.layout), mode)
     write_tensor(args.out, q)
-    print(f"wrote {args.out}: {fmt.name} {layout.kind}{layout.block_len} "
+    print(f"wrote {args.out}: {q.fmt.name} {q.layout.kind}{q.layout.block_len} "
           f"{q.shape[0]}x{q.shape[1]}")
     return EXIT_OK
 
@@ -117,15 +130,13 @@ def _cmd_dequantize(args) -> int:
 def _cmd_analyze(args) -> int:
     x = _read_wide(args.input)
     check_finite(x, f"{args.input}: ")
-    names = args.format or ["nvfp4", "mxfp4"]
+    layout = LAYOUTS.get(args.layout)
     reports = []
-    for name in names:
+    for name in args.format or list(FORMATS):
         fmt = FORMATS[name]
-        layout = LAYOUTS[args.layout] if args.layout else None
         reports.append(analyze_tensor(x, fmt, layout))
-        if args.rht_d:
-            reports.append(analyze_tensor(
-                x, fmt, layout, rht=HadamardSpec(d=args.rht_d)))
+        if args.rht:
+            reports.append(analyze_tensor(x, fmt, layout, rht=args.rht))
     if args.json:
         print(json.dumps({"reports": [r.to_dict() for r in reports]},
                          sort_keys=True, indent=2))
@@ -174,8 +185,7 @@ def _cmd_ablate(args) -> int:
         return _report_schema_errors(
             [f"axes: unknown ablation axis {a!r} (choose from "
              f"{sorted(VARIANTS)})" for a in unknown])
-    seeds = tuple(int(s) for s in args.seeds.split(","))
-    rows = run_ablation_suite(base, axes, seeds=seeds)
+    rows = run_ablation_suite(base, axes, seeds=args.seeds)
 
     os.makedirs(args.out_dir, exist_ok=True)
     record_lines = []
@@ -231,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     an.add_argument("--format", action="append", choices=sorted(FORMATS),
                     help="repeatable; default analyzes every format")
     an.add_argument("--layout", choices=sorted(LAYOUTS))
-    an.add_argument("--rht-d", type=int, default=0,
+    an.add_argument("--rht-d", dest="rht", type=_rht_spec, default=None,
                     help="also report after a Hadamard transform of this size")
     an.add_argument("--json", action="store_true",
                     help="machine-readable output")
@@ -246,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ab.add_argument("--config", required=True)
     ab.add_argument("--out-dir", required=True)
     ab.add_argument("--axes", help="comma-separated variant names")
-    ab.add_argument("--seeds", default="0", help="comma-separated seeds")
+    ab.add_argument("--seeds", type=_seeds, default=(0,), help="comma-separated seeds")
     ab.set_defaults(fn=_cmd_ablate)
 
     c = sub.add_parser("config", help="print the reference config as JSON")

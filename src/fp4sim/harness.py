@@ -473,9 +473,9 @@ VARIANTS = {
     "no_2d": lambda cfg: _policy(cfg, weight_layout=rows1d(cfg.policy.fmt.block_len)),
     "no_exempt": _v_no_exempt,
     "stripped": _v_stripped,
-    "mxfp4": lambda cfg: _policy(cfg, fmt=MXFP4, weight_layout=rows1d(32),
-                                 act_grad_layout=rows1d(32),
-                                 rht_spec=replace(cfg.policy.rht_spec, d=32)),
+    "mxfp4": lambda cfg: _policy(cfg, fmt=MXFP4, weight_layout=rows1d(MXFP4.block_len),
+                                 act_grad_layout=rows1d(MXFP4.block_len),
+                                 rht_spec=replace(cfg.policy.rht_spec, d=MXFP4.block_len)),
     "rht_d4": _v_rht_d(4),
     "rht_d16": _v_rht_d(16),
     "rht_d128": _v_rht_d(128),

@@ -69,7 +69,10 @@ class PrecisionPolicy:
     Hadamard-transformed; sr_roles lists tensor roles ("gradients",
     "activations", "weights") that round stochastically.  quantize_forward /
     quantize_backward allow switching one direction back to wide precision
-    mid-run while the other stays quantized.
+    mid-run while the other stays quantized.  seed keys the stochastic
+    rounding and per-instance Hadamard signs, but a training run replaces
+    it with the run's own seed: in a config it changes the digest and
+    nothing else.  It stays until the pinned digest is next re-pinned.
     """
 
     quantize: bool = True

@@ -27,13 +27,16 @@ from fp4sim.blockquant import (
 from fp4sim.codecs import (
     E2M1_GRID,
     E4M3_SMALLEST_POSITIVE_CODE,
+    NEAREST,
     NonFiniteInputError,
     QuantizationError,
     ScaleRangeError,
     Stochastic,
     decode_e2m1,
     decode_e4m3,
+    decode_ue8m0,
 )
+from fp4sim.linear import PrecisionPolicy
 
 E4M3_EPS = 2.0 ** -9
 
@@ -331,6 +334,59 @@ def test_mxfp4_subnormal_block_flushes_to_zero():
     assert q.scale_codes[0, 0] == 0
     deq = dequantize(q)
     assert not deq[0].any() and np.array_equal(deq[1], x[1])
+
+
+@st.composite
+def _extreme_rows(draw):
+    """Rows of 32 whose magnitudes spread from 2^-1074 up to a per-row top:
+    below 2^-127 (a clamped mxfp4 scale), up to 2^128 (the largest mxfp4
+    scale; small elements scale to subnormals), or up to 2^1000 (nvfp4
+    only) when hi is 1000."""
+    n = draw(st.integers(1, 4))
+    hi = draw(st.sampled_from([128, 1000]))
+    tops = draw(arrays(np.int64, (n, 1), elements=st.one_of(
+        st.integers(-1074, -128), st.integers(-127, hi), st.just(128))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    exps = rng.integers(-1074, tops, endpoint=True, size=(n, 32))
+    exps[:, 0] = tops[:, 0]
+    mant = rng.uniform(1.0, 2.0, (n, 32)) * rng.choice([-1.0, 1.0], (n, 32))
+    return np.ldexp(mant, exps)
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_extreme_rows())
+@example(np.ldexp(1.0, np.array([[128] + [-1074] * 31, [-200] * 31 + [-1074]])))
+def test_single_multiply_at_extreme_magnitudes(x):
+    # mxfp4 scales by multiplying with 2^-k.  Dividing by 2^k rounds the same
+    # real number, so the division is the oracle, subnormal results included.
+    amax = np.abs(x).max()
+    for mode in (NEAREST, Stochastic(("extreme-magnitudes",))):
+        if amax / 6 > 2.0 ** 127:
+            with pytest.raises(ScaleRangeError):
+                quantize_mxfp4(x, rows1d(32), mode)
+        else:
+            q = quantize_mxfp4(x, rows1d(32), mode)
+            want = codecs._encode_e2m1(
+                x / decode_ue8m0(q.scale_codes), mode,
+                counters=blockquant._sr_counters(mode, q.block_map))
+            assert np.array_equal(q.codes, want)
+            assert _same_bits(q._enc_b, encode_multipliers(q))
+        if amax < NVFP4_MIN_AMAX:
+            with pytest.raises(ScaleRangeError):
+                quantize_nvfp4(x, rows1d(16), mode)
+        else:
+            q = quantize_nvfp4(x, rows1d(16), mode)
+            assert _same_bits(q._enc_b, encode_multipliers(q))
+
+
+def test_format_repr_has_no_function_address():
+    # the scale rule is a function; its repr would carry a memory address
+    assert "0x" not in repr(PrecisionPolicy())
+    assert "scale_rule" not in repr(MXFP4)
 
 
 def test_quantize_rejects_nonfinite():

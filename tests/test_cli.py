@@ -141,6 +141,32 @@ def test_exit_code_usage():
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "{src}", "--rht-d", "12"], "must be a power of two >= 2 (got 12)"),
+    (["analyze", "{src}", "--rht-d", "a"], "invalid literal"),
+    (["ablate", "--config", "{cfg}", "--out-dir", "{out}", "--seeds", "a"],
+     "comma-separated integers (got 'a')"),
+])
+def test_bad_flag_values_are_usage_errors(tmp_path, capsys, argv, message):
+    # Flag values are checked by argparse (exit 2), before any file is read;
+    # exit 4 is kept for config schema violations.
+    paths = {"src": str(tmp_path / "missing.fp4t"), "cfg": _tiny_config(tmp_path),
+             "out": str(tmp_path / "o")}
+    with pytest.raises(SystemExit) as e:
+        main([a.format(**paths) for a in argv])
+    assert e.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(paths["out"])
+
+
+def test_analyze_rht_d_zero_is_off(tmp_path, capsys):
+    src = _wide(tmp_path, np.random.default_rng(4).standard_normal((32, 32)))
+    assert main(["analyze", src, "--rht-d", "0"]) == 0
+    with_zero = capsys.readouterr().out
+    assert main(["analyze", src]) == 0
+    assert capsys.readouterr().out == with_zero
+
+
 def test_sr_quantize_seed_determinism(tmp_path):
     rng = np.random.default_rng(3)
     src = _wide(tmp_path, rng.standard_normal((16, 32)))

@@ -52,6 +52,16 @@ def test_reference_config_digest_frozen():
     assert config_digest(reference_config(1)) != "62f4331d6f827b46"
 
 
+def test_policy_seed_changes_the_digest_and_nothing_else():
+    # The run's layer policies take the run's seed in place of policy.seed.
+    base = replace(reference_config(0), steps=3)
+    other = replace(base, policy=replace(base.policy, seed=12345))
+    a, b = run_experiment(base), run_experiment(other)
+    assert a.train_losses == b.train_losses
+    assert a.final_loss == b.final_loss
+    assert a.config_digest != b.config_digest
+
+
 def test_config_round_trip():
     cfg = replace(
         reference_config(3),
