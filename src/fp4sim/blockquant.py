@@ -57,6 +57,8 @@ row-major order over the block grid.
 
 from __future__ import annotations
 
+import functools
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -70,6 +72,7 @@ from .codecs import (
     E4M3_SMALLEST_POSITIVE_CODE,
     E4M3_VALUES,
     NEAREST,
+    InvalidCodeError,
     QuantizationError,
     RoundingMode,
     ScaleRangeError,
@@ -82,6 +85,7 @@ from .codecs import (
     decode_ue8m0,
     encode_ue8m0_roundup,
 )
+from .rng import positions_in_order
 
 
 class LayoutError(QuantizationError):
@@ -125,7 +129,7 @@ def global_encode_scale(amax_tensor: float) -> tuple[float, float]:
     shift both levels by the same factor).  A nonzero amax below
     NVFP4_MIN_AMAX raises ScaleRangeError.
     """
-    if not np.isfinite(amax_tensor) or amax_tensor < 0:
+    if not math.isfinite(amax_tensor) or amax_tensor < 0:
         raise QuantizationError("amax must be finite and non-negative")
     if amax_tensor == 0:
         return 1.0, 1.0
@@ -148,15 +152,17 @@ def nvfp4_block_scales(amax_blocks: np.ndarray, s_enc: float,
     whose scale underflows E4M3 to zero get a zero multiplier, which zeroes
     their codes.  amax_blocks must be finite; it is not checked again.
     """
-    codes = _encode_e4m3((amax_blocks / E2M1_MAX) * s_enc)
-    codes[amax_blocks == 0] = E4M3_SMALLEST_POSITIVE_CODE
-    return codes, _multipliers(E4M3_VALUES[codes], s_dec)  # never a NaN code
+    ideal = amax_blocks / E2M1_MAX
+    ideal *= s_enc
+    codes = _encode_e4m3(ideal)
+    np.copyto(codes, E4M3_SMALLEST_POSITIVE_CODE, where=amax_blocks == 0)
+    return codes, _multipliers(E4M3_VALUES.take(codes), s_dec)  # never a NaN code
 
 
 def _multipliers(decoded: np.ndarray, s_dec: float) -> np.ndarray:
     """1 / (decoded block scale * s_dec), and 0 for a zero scale."""
-    with np.errstate(divide="ignore"):
-        return np.where(decoded > 0, 1.0 / (decoded * s_dec), 0.0)
+    product = decoded * s_dec
+    return np.divide(1.0, product, out=np.zeros(product.shape), where=decoded > 0)
 
 
 def _nvfp4_scale_rule(amax_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -180,6 +186,48 @@ NVFP4 = FormatSpec("nvfp4", 16, "e4m3", True, _nvfp4_scale_rule)
 MXFP4 = FormatSpec("mxfp4", 32, "ue8m0", False, _mxfp4_scale_rule)
 
 FORMATS = {f.name: f for f in (NVFP4, MXFP4)}
+
+# The block scale codes the encoders write are those below the limit of
+# their codec: E4M3 without the sign bit and other than the NaN pattern
+# 0x7F, and UE8M0 other than 0xFF (NaN, which would decode to 2^128).
+SCALE_CODE_LIMIT = {"e4m3": 0x7F, "ue8m0": 0xFF}
+_BAD_SCALE_CODE = {"e4m3": "E4M3 scale code with the sign bit set or the NaN pattern",
+                   "ue8m0": "UE8M0 scale code 0xFF (NaN)"}
+
+
+class ScaleCodeError(InvalidCodeError):
+    """A block scale code the encoders never write; index is its row-major
+    flat index in the scale grid, and what names the code."""
+
+    def __init__(self, what: str, index: int):
+        super().__init__(f"{what} at flat index {index}")
+        self.what, self.index = what, index
+
+
+def check_tensor_scale(fmt: FormatSpec, s: float | None) -> None:
+    """The tensor-level decode scale rule: fmt carries one exactly when
+    fmt.has_tensor_scale, and it is positive with the largest decoded value,
+    6 * 448 * s, finite (as global_encode_scale keeps it).  Raises
+    QuantizationError, ScaleRangeError for a scale out of range."""
+    if not fmt.has_tensor_scale:
+        if s is not None:
+            raise QuantizationError(f"{fmt.name} does not carry a tensor-level scale")
+    elif s is None:
+        raise QuantizationError(f"{fmt.name} requires a tensor-level scale")
+    elif not (s > 0.0 and math.isfinite(s * (E2M1_MAX * E4M3_MAX))):
+        raise ScaleRangeError(f"{fmt.name} tensor-level decode scale must be "
+                              f"positive with 6 * 448 * scale finite, got {s!r}")
+
+
+def _check_scale_codes(scale_codes: np.ndarray, fmt: FormatSpec) -> None:
+    """Raise ScaleCodeError naming the first block scale code outside
+    [0, SCALE_CODE_LIMIT) of its codec (a negative one can only come from
+    a signed integer array)."""
+    limit = SCALE_CODE_LIMIT[fmt.scale_codec]
+    if scale_codes.max() >= limit or scale_codes.min() < 0:
+        flat = scale_codes.reshape(-1)
+        i = int(np.argmax((flat >= limit) | (flat < 0)))
+        raise ScaleCodeError(f"{_BAD_SCALE_CODE[fmt.scale_codec]} 0x{int(flat[i]):02X}", i)
 
 
 @dataclass(frozen=True)
@@ -259,7 +307,7 @@ class BlockMap:
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     view = np.asarray(a).view()
-    view.flags.writeable = False
+    view.setflags(write=False)
     return view
 
 
@@ -275,6 +323,13 @@ def block_decompose(shape: tuple[int, int], layout: ScalingLayout) -> BlockMap:
     padded = (_ceil_to(r, br), _ceil_to(c, bc))
     grid = (padded[0] // br, padded[1] // bc)
     return BlockMap(tuple(shape), padded, layout.block_shape, grid)
+
+
+@functools.lru_cache(maxsize=256)
+def _block_map(shape: tuple[int, int], layout: ScalingLayout) -> BlockMap:
+    """block_decompose of a (shape, layout) pair, built once: the block map
+    is part of the pair's plan, with its stochastic-rounding counters."""
+    return block_decompose(shape, layout)
 
 
 def _pad(x: np.ndarray, bm: BlockMap) -> np.ndarray:
@@ -338,7 +393,7 @@ def _block_amax(x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
             chunk = blocks[i:i + step].T
             mag = np.abs(chunk, out=buf[:, :chunk.shape[1]])
             np.maximum.reduce(mag, axis=0, out=amax_b[i:i + step])
-    if not np.isfinite(amax_b).all():
+    if not math.isfinite(amax_b.max()):  # a NaN max is a NaN
         check_finite(x)
     return amax_b
 
@@ -358,6 +413,12 @@ class QuantizedTensor:
     the block grid.  quantization_stats reads them instead of blocking the
     input again; a tensor built any other way (read from a container) has
     none, and the stats rebuild them.
+
+    Construction checks the tensor-level scale (check_tensor_scale), and
+    the first decode of the scale codes checks them: a code the encoders
+    never write raises ScaleCodeError instead of decoding to a NaN, a
+    negative or a 2^128 scale.  A tensor the quantizer made skips both
+    checks, as its parts are right by construction.
     """
 
     shape: tuple[int, int]
@@ -379,16 +440,26 @@ class QuantizedTensor:
     def __post_init__(self):
         self.codes = _read_only(self.codes)
         self.scale_codes = _read_only(self.scale_codes)
-        self._block_map = bm = block_decompose(self.shape, self.layout)
+        self._block_map = bm = _block_map(tuple(self.shape), self.layout)
         if tuple(self.codes.shape) != bm.padded_shape:
             raise LayoutError("code array does not match padded shape")
         if tuple(self.scale_codes.shape) != bm.grid_shape:
             raise LayoutError("scale grid does not match block decomposition")
-        if self.fmt.has_tensor_scale and self.global_decode_scale is None:
-            raise QuantizationError(f"{self.fmt.name} requires a tensor-level scale")
-        if not self.fmt.has_tensor_scale and self.global_decode_scale is not None:
-            raise QuantizationError(f"{self.fmt.name} does not carry a tensor-level scale")
+        check_tensor_scale(self.fmt, self.global_decode_scale)
         check_layout(self.fmt, self.layout)
+
+    @classmethod
+    def _of_parts(cls, shape: tuple[int, int], codes: np.ndarray,
+                  scale_codes: np.ndarray, layout: ScalingLayout, fmt: FormatSpec,
+                  global_decode_scale: float | None, bm: BlockMap) -> QuantizedTensor:
+        """A tensor from parts that fit by construction (the quantizer's, or
+        a transpose of a checked tensor's), without checking them again."""
+        q = cls.__new__(cls)
+        vars(q).update(shape=shape, codes=_read_only(codes),
+                       scale_codes=_read_only(scale_codes), layout=layout, fmt=fmt,
+                       global_decode_scale=global_decode_scale, _block_map=bm,
+                       _scales=None, _unscaled=None, _amax_b=None, _enc_b=None)
+        return q
 
     @property
     def block_map(self) -> BlockMap:
@@ -398,6 +469,8 @@ class QuantizedTensor:
         """Per-block decode scales (before the tensor-level scale) over the
         block grid; read-only, computed on first use."""
         if self._scales is None:
+            if self._amax_b is None:  # not made by the quantizer
+                _check_scale_codes(self.scale_codes, self.fmt)
             decode = decode_e4m3 if self.fmt.scale_codec == "e4m3" else decode_ue8m0
             self._scales = _read_only(decode(self.scale_codes))
         return self._scales
@@ -430,13 +503,26 @@ class QuantizedTensor:
         return self
 
 
+def _block_positions(bm: BlockMap) -> np.ndarray:
+    """Padded-tensor element positions in block order, read-only.  Where
+    block order is memory order (rows, or a single column of blocks) they
+    are a view of rng.positions_in_order, which uniforms_at draws without a
+    gather."""
+    return _read_only(_to_blocks(positions_in_order(bm.padded_shape), bm))
+
+
+# The positions of tensors up to one chunk are kept per block map.
+_small_block_positions = functools.lru_cache(maxsize=64)(_block_positions)
+
+
 def _sr_counters(mode: RoundingMode, bm: BlockMap) -> np.ndarray | None:
-    """Padded-tensor element positions in block order, which key the
-    stochastic-rounding uniforms; nearest-even rounding reads none."""
+    """The positions that key the stochastic-rounding uniforms (element
+    positions in block order); nearest-even rounding reads none."""
     if not isinstance(mode, Stochastic):
         return None
-    positions = np.arange(bm.padded_shape[0] * bm.padded_shape[1], dtype=np.int64)
-    return _to_blocks(positions.reshape(bm.padded_shape), bm)
+    if bm.padded_shape[0] * bm.padded_shape[1] <= _CHUNK:
+        return _small_block_positions(bm)
+    return _block_positions(bm)
 
 
 def quantize(x, fmt: FormatSpec, layout: ScalingLayout | None = None,
@@ -447,19 +533,15 @@ def quantize(x, fmt: FormatSpec, layout: ScalingLayout | None = None,
     if layout is None:
         layout = rows1d(fmt.block_len)
     check_layout(fmt, layout)
-    bm = block_decompose(x.shape, layout)
+    bm = _block_map(x.shape, layout)
     blocks = _to_blocks(_pad(x, bm), bm)
     amax_b = _block_amax(x, blocks)
     scale_codes, enc, s_dec = fmt.scale_rule(amax_b)
     scaled = np.multiply(blocks, enc[:, None], out=_spare(x, blocks))
     codes = _encode_e2m1(scaled, mode, counters=_sr_counters(mode, bm))
-    return QuantizedTensor(
-        shape=tuple(x.shape),
-        codes=_from_blocks(codes, bm).astype(np.uint8),
-        scale_codes=scale_codes.reshape(bm.grid_shape),
-        layout=layout,
-        fmt=fmt,
-        global_decode_scale=s_dec,
+    return QuantizedTensor._of_parts(
+        x.shape, np.ascontiguousarray(_from_blocks(codes, bm)),
+        scale_codes.reshape(bm.grid_shape), layout, fmt, s_dec, bm,
     )._keep_record(amax_b, enc)
 
 

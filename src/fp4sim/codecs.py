@@ -5,6 +5,17 @@ E4M3 for fractional block scales, and UE8M0 for power-of-two block scales.
 Encoders and decoders are vectorized over numpy arrays and compute in
 binary64; all are pure functions.
 
+The nearest-even encoders are bucket tables.  A bucket holds the binary64
+values that share their top w bits: sign, exponent and the first w - 12
+mantissa bits.  Each threshold between two codes is a midpoint of adjacent
+values, with at most two mantissa bits for E2M1 and four for E4M3, so with
+w = 14 and w = 16 it is the bottom of a bucket.  All values inside a
+bucket therefore share one code; only the exact bottom can differ, where a
+tie goes to the even code.  A tie flag tells the bottom apart without a
+comparison: with k(b) the top w bits of the bit pattern b, k(b) + k(b - 1)
+is 2k inside bucket k and 2k - 1 at its exact bottom.  So each code is one
+gather from a read-only table of 2^(w+1) - 1 entries.
+
 E2M1 layout: 1 sign / 2 exponent / 1 mantissa, bias 1, no infinities or NaNs.
 The sixteen codes decode to {+-0, +-0.5, +-1, +-1.5, +-2, +-3, +-4, +-6};
 code = sign<<3 | magnitude_index.
@@ -21,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import stream_key, uniforms_at
+from .rng import positions_in_order, stream_key, uniforms_at
 
 
 class QuantizationError(ValueError):
@@ -146,9 +157,13 @@ def _encode_e2m1(x: np.ndarray, mode: RoundingMode, counters) -> np.ndarray:
     """encode_e2m1 of a float64 array the caller has checked to be finite;
     only sr_round checks again.  The codes keep x's memory layout.
 
-    sr_round returns E2M1 grid values, and each grid value is the smallest
-    magnitude of its bucket of top 13 bits (as in _sr_brackets), so their
-    codes are one gather from a table keyed by those bits."""
+    Nearest-even codes are one gather from the bucket table _E2M1_CODES
+    over buckets of top 14 bits, at k(b) + k(b - 1): the tie flag in that
+    index sends a value at a bucket's exact bottom, such as the tie 2.5, to
+    the bottom's own entry (module docstring).  sr_round returns E2M1 grid
+    values, and each grid value is the smallest magnitude of its bucket of
+    top 13 bits (as in _sr_brackets), so their codes are one gather from
+    _GRID_CODES, keyed by those bits."""
     stochastic = isinstance(mode, Stochastic)
     if stochastic:
         x = sr_round(x, mode, counters=counters)
@@ -158,18 +173,19 @@ def _encode_e2m1(x: np.ndarray, mode: RoundingMode, counters) -> np.ndarray:
                 key = (xs.view(np.uint64) >> 51).view(np.int64)
                 np.take(_GRID_CODES, key, out=codes, mode="clip")
             else:
-                _e2m1_walk(xs, codes)
+                _bucket_codes(_E2M1_CODES, xs, out=codes)
         out = it.operands[1]
     return out if out.ndim else out[()]
 
 
-def _e2m1_walk(x: np.ndarray, codes: np.ndarray) -> None:
-    """Write the nearest-even codes of the 1-D chunk x into codes."""
+def _e2m1_walk(x: np.ndarray) -> np.ndarray:
+    """The nearest-even codes of the 1-D array x by a walk over the
+    thresholds; it builds the code tables."""
     m = np.abs(x)
     # Cumulative threshold walk; the >=/> alternation encodes ties-to-even:
     # 0.25 -> 0.0, 0.75 -> 1.0, 1.25 -> 1.0, 1.75 -> 2.0, 2.5 -> 2.0,
     # 3.5 -> 4.0, 5.0 -> 4.0.
-    np.greater(m, 0.25, out=codes)
+    codes = (m > 0.25).astype(np.uint8)
     codes += m >= 0.75
     codes += m > 1.25
     codes += m >= 1.75
@@ -179,6 +195,50 @@ def _e2m1_walk(x: np.ndarray, codes: np.ndarray) -> None:
     neg = np.signbit(x)
     neg &= codes > 0
     codes |= neg.view(np.uint8) << 3
+    return codes
+
+
+def _bucket_table(encode, w: int, lo: float, hi: float, top: int,
+                  sign: int) -> np.ndarray:
+    """The code table of a nearest-even encoder over buckets of top w bits,
+    indexed by k(b) + k(b - 1) for the bits b of a value (module
+    docstring): entry 2k is the code of the inside of bucket k, entry
+    2k - 1 the code of its bottom.
+
+    encode(v) gives the codes of positive magnitudes v in [lo, hi), which
+    are powers of two; smaller magnitudes encode to 0, larger ones to top.
+    A negative value takes its magnitude's code with the sign bit set,
+    except that zero codes stay 0.  Only the buckets in [lo, hi) are
+    encoded, so the temporaries stay small; read-only.
+    """
+    shift = 64 - w
+    k_lo, k_hi = (int(np.float64(v).view(np.uint64)) >> shift for v in (lo, hi))
+    bottom = (np.arange(k_lo, k_hi, dtype=np.uint64) << shift).view(np.float64)
+    codes = np.zeros((2, 1 << (w - 1), 2), dtype=np.uint8)  # [sign, bucket, inside]
+    pos = codes[0]
+    pos[k_lo:k_hi, 0] = encode(bottom)
+    pos[k_lo:k_hi, 1] = encode(np.nextafter(bottom, np.inf))
+    pos[k_hi:] = top
+    np.bitwise_or(pos, sign, out=codes[1], where=pos > 0)
+    # entry j is flat entry j + 1: bucket k's bottom lands on 2k - 1
+    table = codes.reshape(-1)[1:]
+    table.setflags(write=False)
+    return table
+
+
+def _bucket_codes(table: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
+    """Codes of the float64 array x, in its shape and C-ordered: one gather
+    from a _bucket_table at k(b) + k(b - 1).  Zeros of either sign land on
+    entry 2^w - 1, the bottom of the bucket of -0.0."""
+    shift = np.uint64(65 - len(table).bit_length())  # 64 - w
+    bits = x.ravel().view(np.uint64)
+    key = bits - np.uint64(1)
+    key >>= shift
+    key += bits >> shift
+    return table.take(key.view(np.intp).reshape(x.shape), out=out, mode="clip")
+
+
+_E2M1_CODES = _bucket_table(_e2m1_walk, 14, 0.125, 8.0, 7, 0x8)
 
 
 def _grid_codes() -> np.ndarray:
@@ -186,8 +246,7 @@ def _grid_codes() -> np.ndarray:
     top 13 bits (sign, exponent and first mantissa bit), signed zero
     included; read-only."""
     bottom = (np.arange(1 << 13, dtype=np.uint64) << 51).view(np.float64)
-    codes = np.empty(bottom.shape, dtype=np.uint8)
-    _e2m1_walk(bottom, codes)
+    codes = _e2m1_walk(bottom)
     codes.setflags(write=False)
     return codes
 
@@ -196,10 +255,16 @@ _GRID_CODES = _grid_codes()
 
 
 def decode_e2m1(codes) -> np.ndarray:
+    """Decode 4-bit E2M1 codes by one gather; any other integer raises
+    InvalidCodeError."""
     codes = np.asarray(codes)
-    if codes.size and (codes.min() < 0 or codes.max() > 15):
+    # take rejects codes above 15, and unsigned codes need no min pass
+    if not (codes.dtype.kind == "u" or codes.size == 0 or codes.min() >= 0):
         raise InvalidCodeError("E2M1 codes must be 4-bit patterns")
-    return E2M1_VALUES[codes]
+    try:
+        return E2M1_VALUES.take(codes)
+    except IndexError:
+        raise InvalidCodeError("E2M1 codes must be 4-bit patterns") from None
 
 
 def _sr_brackets() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -243,16 +308,16 @@ def sr_round(x, stream: Stochastic, counters=None) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     check_finite(x)
     if counters is None:
-        counters = np.arange(x.size, dtype=np.int64).reshape(x.shape)
+        counters = positions_in_order(x.shape)
     u = uniforms_at(stream.key(), counters)
     with _chunks([u, x, None], [np.float64] * 3) as it:
         for us, xs, out in it:
             # a logical shift, then int64 so the gathers need no cast
             key = (xs.view(np.uint64) >> 51).view(np.int64)
-            lo = _SR_LO[key]
+            lo = _SR_LO.take(key, mode="clip")
             p_hi = xs - lo
-            p_hi *= _SR_INV_GAP[key]
-            out[...] = np.where(us < p_hi, _SR_HI[key], lo)
+            p_hi *= _SR_INV_GAP.take(key, mode="clip")
+            out[...] = np.where(us < p_hi, _SR_HI.take(key, mode="clip"), lo)
         return it.operands[2]
 
 
@@ -272,7 +337,6 @@ def _e4m3_table() -> np.ndarray:
 E4M3_VALUES = _e4m3_table()
 E4M3_VALUES.setflags(write=False)
 E4M3_MAX = 448.0
-E4M3_MIN_NORMAL = 2.0 ** -6
 E4M3_SMALLEST_POSITIVE = 2.0 ** -9
 E4M3_SMALLEST_POSITIVE_CODE = 0x01
 
@@ -283,13 +347,13 @@ def _e4m3_thresholds() -> np.ndarray:
     next double above it when k is even and keeps the tie.  Magnitudes
     past the last one saturate to code 126."""
     mid = (E4M3_VALUES[:126] + E4M3_VALUES[1:127]) / 2
-    thresholds = np.where(np.arange(126) % 2 == 0, np.nextafter(mid, np.inf), mid)
-    thresholds.setflags(write=False)
-    return thresholds
+    return np.where(np.arange(126) % 2 == 0, np.nextafter(mid, np.inf), mid)
 
 
-_E4M3_THRESHOLDS = _e4m3_thresholds()
-_E4M3_SEARCH_MAX = 512
+# Magnitudes below 2^-10 round to code 0, and from 448 on saturate.
+_E4M3_CODES = _bucket_table(
+    lambda v: np.searchsorted(_e4m3_thresholds(), v, side="right"),
+    16, 2.0 ** -11, 2.0 ** 9, 126, 0x80)
 
 
 def encode_e4m3(x) -> np.ndarray:
@@ -301,39 +365,21 @@ def encode_e4m3(x) -> np.ndarray:
 
 
 def _encode_e4m3(x: np.ndarray) -> np.ndarray:
-    """encode_e4m3 of a float64 array the caller has checked to be finite.
-
-    Normal range: round the binary64 bit pattern to nearest-even at mantissa
-    bit 3 (a carry moves into the exponent), then rebias the exponent from
-    1023 to 7.  Below 2^-6 the codes count multiples of 2^-9, and rint
-    rounds those ties to even.  Everything above 448 saturates to code 126.
-    The codes are C-ordered, whatever the layout of x.
-
-    Up to _E4M3_SEARCH_MAX values (block-scale grids of small tensors), one
-    binary search over the thresholds between codes takes fewer passes and
-    gives the same codes.
-    """
-    mag = np.abs(x, out=np.empty(np.shape(x)))
-    if mag.size <= _E4M3_SEARCH_MAX:
-        code = np.searchsorted(_E4M3_THRESHOLDS, mag, side="right").astype(np.uint8)
-    else:
-        bits = mag.view(np.uint64)
-        rne = (bits + ((bits >> 49) & 1) + ((1 << 48) - 1)) >> 49
-        code = rne.view(np.int64) - ((1023 - 7) << 3)
-        sub = np.rint(np.minimum(mag, E4M3_MIN_NORMAL) * 2.0 ** 9)
-        code = np.where(mag < E4M3_MIN_NORMAL, sub.astype(np.int64), code)
-        code = np.minimum(code, 126).astype(np.uint8)
-    neg = np.signbit(x) & (code > 0)
-    return code | (neg.view(np.uint8) << 7)
+    """encode_e4m3 of a float64 array the caller has checked to be finite:
+    one gather from the bucket table _E4M3_CODES over buckets of top 16
+    bits, at k(b) + k(b - 1), whose tie flag sends a midpoint of two codes
+    to its bucket bottom's entry, the even code (module docstring).  The
+    codes are C-ordered, whatever the layout of x."""
+    return _bucket_codes(_E4M3_CODES, x)
 
 
 def decode_e4m3(codes) -> np.ndarray:
     """Decode E4M3 codes; the NaN patterns (0x7F / 0xFF) are rejected
     because a NaN block scale can never be produced by the encoder."""
-    codes = np.asarray(codes)
-    if np.any((codes & 0x7F) == 0x7F):
+    values = E4M3_VALUES.take(np.asarray(codes))
+    if values.size and np.isnan(values.max()):  # a NaN max is a NaN
         raise InvalidCodeError("E4M3 NaN code cannot be decoded as a scale")
-    return E4M3_VALUES[codes]
+    return values
 
 
 # --- UE8M0 -----------------------------------------------------------------

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blockquant import QuantizedTensor, _read_only
+from .blockquant import SCALE_CODE_LIMIT, QuantizedTensor, _block_map, _read_only
+from .codecs import E4M3_VALUES, decode_ue8m0
 
 
 class GemmError(ValueError):
@@ -82,16 +83,30 @@ def scaled_gemm(qa: QuantizedTensor, qb: QuantizedTensor,
     return out
 
 
+def _lowest_bit_table(values: np.ndarray, limit: int) -> np.ndarray:
+    """The lowest set bit of every scale code's decoded value, and inf for
+    a zero scale or a code at or above limit (one the encoders never
+    write); read-only."""
+    table = np.full(256, np.inf)
+    ok = (np.arange(256) < limit) & (values > 0)
+    mant, exp = np.frexp(values[ok])
+    ints = (mant * 2.0 ** 53).astype(np.int64)
+    table[ok] = np.ldexp(ints & -ints, exp - 53)
+    table.setflags(write=False)
+    return table
+
+
+_LOWEST_BIT = {
+    "e4m3": _lowest_bit_table(E4M3_VALUES, SCALE_CODE_LIMIT["e4m3"]),
+    "ue8m0": _lowest_bit_table(decode_ue8m0(np.arange(256)), SCALE_CODE_LIMIT["ue8m0"]),
+}
+
+
 def _lowest_scale_bit(q: QuantizedTensor) -> float:
     """Smallest lowest set bit over the nonzero block scales of q (0.0 when
     every scale is zero): every scale is an integer multiple of it."""
-    s = q.scale_values()
-    s = s[s > 0]
-    if s.size == 0:
-        return 0.0
-    mant, exp = np.frexp(s)
-    ints = (mant * 2.0 ** 53).astype(np.int64)
-    return float(np.ldexp(ints & -ints, exp - 53).min())
+    low = float(_LOWEST_BIT[q.fmt.scale_codec].take(q.scale_codes).min())
+    return low if low < np.inf else 0.0
 
 
 def _certified_exact(qa: QuantizedTensor, qb: QuantizedTensor,
@@ -141,14 +156,10 @@ def transpose_quantized_view(q: QuantizedTensor) -> QuantizedTensor:
         raise NotTransposableError(
             "block scales along one axis do not transpose; requantize along "
             "the new dot-product dimension")
-    view = QuantizedTensor(
-        shape=(q.shape[1], q.shape[0]),
-        codes=np.ascontiguousarray(q.codes.T),
-        scale_codes=np.ascontiguousarray(q.scale_codes.T),
-        layout=q.layout,
-        fmt=q.fmt,
-        global_decode_scale=q.global_decode_scale,
-    )
+    shape = (q.shape[1], q.shape[0])
+    view = QuantizedTensor._of_parts(
+        shape, np.ascontiguousarray(q.codes.T), np.ascontiguousarray(q.scale_codes.T),
+        q.layout, q.fmt, q.global_decode_scale, _block_map(shape, q.layout))
     # the decoded scales and values transpose with their codes; decode them
     # only once
     view._scales = _read_only(np.ascontiguousarray(q.scale_values().T))

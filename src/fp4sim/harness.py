@@ -238,10 +238,11 @@ def _wide_forward(layers, x):
 
 def _policy_forward(layers, x, policies, step):
     """Evaluation pass through the network as configured: quantized layers
-    stay quantized (their deployed behavior), exempt layers run wide."""
+    stay quantized (their deployed behavior), exempt layers run wide.  No
+    trace is kept, so no per-GEMM statistics are computed."""
     a = x
     for i, layer in enumerate(layers):
-        z, _ = forward(layer, a, policies[i], step=step)
+        z, _ = forward(layer, a, replace(policies[i], collect_stats=False), step=step)
         a = np.maximum(z, 0.0) if i < len(layers) - 1 else z
     return a
 

@@ -18,6 +18,7 @@ before it returns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -111,9 +112,10 @@ def quantization_stats(x: np.ndarray, q: QuantizedTensor) -> TensorReport:
     deq = dequantize(q)
     err = x - deq
     sig = float((x * x).sum())
-    rel_fro = float(np.linalg.norm(err) / np.linalg.norm(x)) if sig else 0.0
-    # x == 0 encodes to a zero code, so nonzero(deq) is a subset of nonzero(x)
-    underflow = int(np.count_nonzero(x)) - int(np.count_nonzero(deq))
+    rel_fro = _norm(err) / _norm(x) if sig else 0.0
+    # x == 0 encodes to a zero code, so nonzero(deq) is a subset of nonzero(x);
+    # counting a comparison skips the per-element test of a float count
+    underflow = int(np.count_nonzero(x != 0)) - int(np.count_nonzero(deq != 0))
 
     bm = q.block_map
     xp = _pad(x, bm)  # x itself when it needs no padding
@@ -132,6 +134,14 @@ def quantization_stats(x: np.ndarray, q: QuantizedTensor) -> TensorReport:
         underflow_to_zero=underflow,
         n_blocks=bm.n_blocks,
     )
+
+
+def _norm(a: np.ndarray) -> float:
+    """np.linalg.norm(a) of a float64 array by its own steps (a dot product
+    of the flattened array in memory order, then a square root), without
+    the dispatch around them."""
+    flat = a.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
 
 
 def _row_chunks(a: np.ndarray) -> list[slice]:

@@ -5,17 +5,32 @@ parts (seed, layer index, step, role tag, ...).  The uniform at position i is
 a pure function of (key, i): it does not depend on how many other positions
 were generated, or in what order.  That property is what makes stochastic
 rounding reproducible under any evaluation schedule.
+
+Each thread draws from one Philox generator of its own, made once.  Every
+call resets its whole state (key, counter, output buffer and the spare
+32-bit half), so a draw depends only on the call's arguments: nothing an
+earlier call drew is carried over, and no thread sees another's state.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
+import weakref
 
 import numpy as np
 
 # Philox-4x64 emits four 64-bit words per counter block; Generator.random
 # consumes one word per double, so advance(1) skips four draw positions.
 _DRAWS_PER_BLOCK = 4
+
+_thread = threading.local()
+_ZEROS = np.zeros(_DRAWS_PER_BLOCK, dtype=np.uint64)
+_ZEROS.setflags(write=False)
+
+# The arrays positions_in_order handed out, by size, while any view of one
+# is alive.
+_IN_ORDER: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def stream_key(*parts) -> np.ndarray:
@@ -29,15 +44,47 @@ def stream_key(*parts) -> np.ndarray:
     return np.frombuffer(digest, dtype=np.uint64).copy()
 
 
+def _generator(key: np.ndarray, block: int = 0) -> np.random.Generator:
+    """This thread's generator, in the state of a fresh Philox(key=key)
+    advanced by block counter blocks.  Setting the state is cheaper than
+    making a Philox, which also draws OS entropy for a seed it never uses."""
+    gen = getattr(_thread, "generator", None)
+    if gen is None:
+        gen = _thread.generator = np.random.Generator(np.random.Philox(key=key))
+    # the setter copies the arrays' values, so the zeros can be shared
+    counter = _ZEROS if block == 0 else np.array([block, 0, 0, 0], dtype=np.uint64)
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": counter, "key": key},
+        "buffer": _ZEROS,
+        "buffer_pos": _DRAWS_PER_BLOCK,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
+
+
 def uniforms(key: np.ndarray, count: int, start: int = 0) -> np.ndarray:
     """Uniforms in [0, 1) at stream positions start .. start+count-1."""
     if count < 0 or start < 0:
         raise ValueError("count and start must be non-negative")
     block, offset = divmod(int(start), _DRAWS_PER_BLOCK)
-    bg = np.random.Philox(key=key)
-    if block:
-        bg.advance(block)
-    return np.random.Generator(bg).random(offset + int(count))[offset:]
+    return _generator(key, block).random(offset + int(count))[offset:]
+
+
+def positions_in_order(shape) -> np.ndarray:
+    """Stream positions 0 .. n-1 in C order over shape, read-only.
+
+    uniforms_at recognises these (and C-contiguous views of them of the
+    same size) and draws the prefix without a gather or a bounds pass.
+    """
+    n = int(np.prod(shape, dtype=np.int64))
+    base = _IN_ORDER.get(n)
+    if base is None:
+        base = np.arange(n, dtype=np.int64)
+        base.setflags(write=False)
+        _IN_ORDER[n] = base
+    return base.reshape(shape)
 
 
 def uniforms_at(key: np.ndarray, positions) -> np.ndarray:
@@ -45,11 +92,17 @@ def uniforms_at(key: np.ndarray, positions) -> np.ndarray:
 
     Gather form: generates the prefix up to max(positions) and indexes into
     it, so it is meant for dense position sets (e.g. a permutation of an
-    element index space), not sparse ones.
+    element index space), not sparse ones.  Positions from
+    positions_in_order are the prefix itself.
     """
     positions = np.asarray(positions, dtype=np.int64)
     if positions.size == 0:
         return np.zeros(positions.shape, dtype=np.float64)
+    # a C-contiguous view of all of one of those arrays is that array
+    in_order = _IN_ORDER.get(positions.size)
+    if (in_order is not None and positions.base is in_order
+            and positions.flags.c_contiguous):
+        return uniforms(key, positions.size).reshape(positions.shape)
     if positions.min() < 0:
         raise ValueError("positions must be non-negative")
     prefix = uniforms(key, int(positions.max()) + 1)
@@ -59,4 +112,4 @@ def uniforms_at(key: np.ndarray, positions) -> np.ndarray:
 def normals(key: np.ndarray, shape) -> np.ndarray:
     """Standard normals for a fresh stream (whole-tensor draws, not
     position-addressed; key the stream by tensor identity instead)."""
-    return np.random.Generator(np.random.Philox(key=key)).standard_normal(shape)
+    return _generator(key).standard_normal(shape)

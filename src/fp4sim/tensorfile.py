@@ -26,12 +26,13 @@ The reader also rejects, naming the field or byte offset: zero rows or
 cols, header fields that contradict the format, an nvfp4 tensor scale
 that is not positive or would decode past the float64 range, and block
 scale codes the encoders never write (E4M3 with the sign bit set or the
-NaN pattern, UE8M0 0xFF).
+NaN pattern, UE8M0 0xFF).  The last two are QuantizedTensor's own rules
+(blockquant.check_tensor_scale, and the check at the first decode of the
+scale codes), which the reader applies on read and locates in the file.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import stat
 import struct
@@ -41,14 +42,15 @@ import numpy as np
 
 from .blockquant import (
     FORMATS,
-    FormatSpec,
     LayoutError,
     QuantizedTensor,
+    ScaleCodeError,
     ScalingLayout,
     block_decompose,
     check_layout,
+    check_tensor_scale,
 )
-from .codecs import E2M1_MAX, E4M3_MAX
+from .codecs import QuantizationError
 
 MAGIC = b"FP4T"
 VERSION = 1
@@ -157,22 +159,6 @@ def _check_end(f, offset: int) -> None:
         raise TensorFileError(f"payload continues past its end at byte {offset}")
 
 
-def _check_scale_codes(scales: np.ndarray, fmt: FormatSpec, offset: int) -> None:
-    """Reject block scale codes the encoders never write: E4M3 codes with
-    the sign bit set or the NaN pattern, and the UE8M0 code 0xFF."""
-    if fmt.scale_codec == "e4m3":
-        bad = (scales & 0x80 != 0) | (scales == 0x7F)
-        what = "E4M3 scale code with the sign bit set or the NaN pattern"
-    else:
-        bad = scales == 0xFF
-        what = "UE8M0 scale code 0xFF (NaN)"
-    if bad.any():
-        i = int(np.argmax(bad.reshape(-1)))
-        raise TensorFileError(
-            f"{what} 0x{int(scales.reshape(-1)[i]):02X} at byte offset "
-            f"{offset + i}")
-
-
 def read_tensor(path: str) -> np.ndarray | QuantizedTensor:
     """Read a container, validating its header before it allocates the
     payload and its scale codes before it returns; any defect raises
@@ -219,14 +205,12 @@ def read_tensor(path: str) -> np.ndarray | QuantizedTensor:
         except LayoutError as e:
             raise TensorFileError(f"block_len at offset 8 is {block_len}, which a "
                                   f"{kind} layout of {fmt.name} does not allow: {e}") from None
-        # the largest decoded value is 6 * 448 * s_dec; the encoder keeps
-        # it finite
-        if fmt.has_tensor_scale and not (
-                s_dec > 0.0 and math.isfinite(s_dec * (E2M1_MAX * E4M3_MAX))):
-            raise TensorFileError(
-                f"{fmt.name} tensor-level decode scale at offset 28 must be "
-                f"positive with 6 * 448 * scale finite, got {s_dec!r}")
-        if not fmt.has_tensor_scale and s_dec != 0.0:
+        if fmt.has_tensor_scale:
+            try:
+                check_tensor_scale(fmt, s_dec)
+            except QuantizationError as e:
+                raise TensorFileError(f"offset 28: {e}") from None
+        elif s_dec != 0.0:
             raise TensorFileError(
                 f"{fmt.name} carries no tensor-level scale; offset 28 holds "
                 f"{s_dec!r}")
@@ -238,8 +222,13 @@ def read_tensor(path: str) -> np.ndarray | QuantizedTensor:
         scales = _payload_array(bm.grid_shape, np.uint8)
         _read_exact(f, scales, _HEADER.size + n_codes)
         _check_end(f, _HEADER.size + n_codes + scales.nbytes)
-    _check_scale_codes(scales, fmt, _HEADER.size + n_codes)
-    return QuantizedTensor(
+    q = QuantizedTensor(
         shape=(rows, cols), codes=_unpack_codes(packed, bm.padded_shape),
         scale_codes=scales, layout=layout, fmt=fmt,
         global_decode_scale=s_dec if fmt.has_tensor_scale else None)
+    try:
+        q.scale_values()  # decodes the scale codes once, checking them
+    except ScaleCodeError as e:
+        raise TensorFileError(f"{e.what} at byte offset "
+                              f"{_HEADER.size + n_codes + e.index}") from None
+    return q

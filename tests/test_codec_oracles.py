@@ -254,7 +254,7 @@ def test_e4m3_every_code_and_midpoint_on_both_paths():
     x = np.concatenate([finite, mids, np.nextafter(mids, 0.0),
                         np.nextafter(mids, np.inf), [448.5, 480.0, 1e300]])
     for v in (x, -x):
-        for size in (codecs._E4M3_SEARCH_MAX, 4 * codecs._E4M3_SEARCH_MAX):
+        for size in (512, 2048):
             w = np.resize(v, size)
             _same(codecs._encode_e4m3(w), _oracle_encode_e4m3(w))
 

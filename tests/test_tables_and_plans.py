@@ -1,0 +1,159 @@
+"""The bucket code tables, the reused Philox generator and the cached block
+plans, each against the computation it stands in for."""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+from test_codec_oracles import _oracle_encode_e2m1, _oracle_encode_e4m3, _same
+
+from fp4sim import blockquant, codecs, rng
+from fp4sim.blockquant import NVFP4, cols1d, quantize, rows1d, square2d
+from fp4sim.codecs import NEAREST, Stochastic
+
+# --- bucket tables ---------------------------------------------------------------
+
+
+def _bucket_edges(w):
+    """The bottom of every finite bucket of top w bits (+0.0 and -0.0
+    among them), and the next double away from zero, inside the bucket."""
+    keys = np.arange(1 << w, dtype=np.uint64)
+    bottom = (keys << np.uint64(64 - w)).view(np.float64)
+    bottom = bottom[np.isfinite(bottom)]
+    return bottom, np.nextafter(bottom, np.copysign(np.inf, bottom))
+
+
+def test_e2m1_table_matches_the_walk_at_every_key():
+    bottom, away = _bucket_edges(14)
+    zeros = bottom[bottom == 0]
+    assert len(zeros) == 2 and np.signbit(zeros).tolist() == [False, True]
+    for x in (bottom, away):
+        _same(codecs._encode_e2m1(x, NEAREST, None),
+              _oracle_encode_e2m1(x, NEAREST, None))
+
+
+def test_e4m3_table_matches_the_oracle_at_every_key():
+    for x in _bucket_edges(16):
+        _same(codecs._encode_e4m3(x), _oracle_encode_e4m3(x))
+
+
+def test_e2m1_decode_rejects_codes_outside_four_bits():
+    for codes in (np.array([16], np.uint8), np.array([-1]), np.array([3, 99])):
+        with pytest.raises(codecs.InvalidCodeError):
+            codecs.decode_e2m1(codes)
+    assert codecs.decode_e2m1(np.arange(16, dtype=np.uint8)).tobytes() == \
+        codecs.E2M1_VALUES.tobytes()
+
+
+# --- one reused Philox generator -----------------------------------------------------
+
+
+def _fresh_uniforms(key, count, start):
+    bg = np.random.Philox(key=key)
+    bg.advance(start // 4)
+    return np.random.Generator(bg).random(start % 4 + count)[start % 4:]
+
+
+def test_uniforms_equal_a_fresh_philox_over_interleaved_keys_and_starts():
+    keys = [rng.stream_key("reuse", i) for i in range(3)]
+    for start in (0, 1, 2, 3, 5, 6, 7, 13, 4097):
+        for key in keys:  # each call follows one on another key
+            assert rng.uniforms(key, 37, start).tobytes() == \
+                _fresh_uniforms(key, 37, start).tobytes()
+
+
+def test_reused_generator_keeps_nothing_from_earlier_draws():
+    key = rng.stream_key("after")
+    # leave the generator mid-block, with a spare 32-bit half
+    gen = rng._generator(rng.stream_key("before"), 3)
+    gen.bit_generator.random_raw(3)
+    gen.integers(0, 10, size=3, dtype=np.uint32)
+    assert rng.uniforms(key, 9, 6).tobytes() == _fresh_uniforms(key, 9, 6).tobytes()
+    gen.integers(0, 10, size=1, dtype=np.uint32)
+    want = np.random.Generator(np.random.Philox(key=key)).standard_normal((7, 3))
+    assert rng.normals(key, (7, 3)).tobytes() == want.tobytes()
+
+
+def test_threads_draw_their_own_streams():
+    # more threads than cores, switching often, each drawing its own
+    # streams through its own generator and the shared in-order positions
+    keys = [rng.stream_key("thread", i) for i in range(6)]
+    want = {i: _fresh_uniforms(k, 5000, 0).tobytes() for i, k in enumerate(keys)}
+    got, errors = {}, []
+
+    def draw(i):
+        try:
+            for _ in range(20):
+                u = rng.uniforms_at(keys[i], rng.positions_in_order((50, 100)))
+                got[i] = u.tobytes()
+        except Exception as e:  # reported below
+            errors.append(e)
+
+    threads = [threading.Thread(target=draw, args=(i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and got == want
+
+
+# --- block plans ----------------------------------------------------------------------
+
+_PLAN_CASES = [
+    ((64, 64), rows1d(16)),    # in order
+    ((37, 45), rows1d(16)),    # in order, padded
+    ((40, 16), cols1d(16)),    # one column of blocks: in order
+    ((48, 32), cols1d(16)),    # gathered
+    ((37, 45), cols1d(16)),    # gathered, padded
+    ((20, 16), square2d()),    # one column of tiles: in order, padded
+    ((32, 48), square2d()),    # gathered
+    ((300, 257), rows1d(16)),  # past one chunk: not kept per block map
+]
+
+
+@pytest.mark.parametrize("shape, layout", _PLAN_CASES)
+def test_block_positions_draw_the_uniforms_of_the_gathered_arange(shape, layout):
+    bm = blockquant.block_decompose(shape, layout)
+    counters = blockquant._sr_counters(Stochastic(("plan",)), bm)
+    n = bm.padded_shape[0] * bm.padded_shape[1]
+    gathered = blockquant._to_blocks(np.arange(n).reshape(bm.padded_shape), bm)
+    assert counters.tobytes() == gathered.tobytes()
+    assert counters.shape == gathered.shape and not counters.flags.writeable
+    key = rng.stream_key("plan", *shape)
+    want = rng.uniforms(key, n)[gathered]
+    assert rng.uniforms_at(key, counters).tobytes() == want.tobytes()
+    assert rng.uniforms_at(key, gathered).tobytes() == want.tobytes()
+
+
+def test_only_whole_in_order_positions_skip_the_gather():
+    key = rng.stream_key("views")
+    p = rng.positions_in_order((8, 12))
+    prefix = rng.uniforms(key, 96)
+    for view in (p[::-1], p[:, ::-1], p.T, p[:, :6], p[2:], p.reshape(12, 8)[:, 1:]):
+        assert rng.uniforms_at(key, view).tobytes() == prefix[view].tobytes()
+    assert rng.uniforms_at(key, p).tobytes() == prefix.reshape(8, 12).tobytes()
+
+
+def test_block_map_built_once_per_shape_and_layout(monkeypatch):
+    calls = []
+    real = blockquant.block_decompose
+
+    def counting(shape, layout):
+        calls.append((shape, layout))
+        return real(shape, layout)
+
+    monkeypatch.setattr(blockquant, "block_decompose", counting)
+    blockquant._block_map.cache_clear()
+    x = np.random.default_rng(5).standard_normal((24, 40))
+    first = quantize(x, NVFP4, rows1d(16))
+    for mode in (NEAREST, Stochastic(("plan-once",))):
+        assert quantize(x, NVFP4, rows1d(16), mode).block_map is first.block_map
+    quantize(x, NVFP4, cols1d(16))
+    assert calls == [((24, 40), rows1d(16)), ((24, 40), cols1d(16))]
