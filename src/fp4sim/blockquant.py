@@ -174,11 +174,8 @@ def _mxfp4_scale_rule(amax_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, None]
     # Round the ideal scale UP to a power of two: the scaled amax then never
     # exceeds 6, so encoding cannot saturate.  Scales below 2^-127 clamp to
     # it, including an ideal scale that underflows to zero (amax_b of a few
-    # subnormals).
-    codes = np.zeros(amax_b.size, dtype=np.uint8)
-    nz = amax_b > 0
-    if nz.any():
-        codes[nz] = encode_ue8m0_roundup(np.maximum(amax_b[nz] / E2M1_MAX, 2.0 ** -127))
+    # subnormals) and the zero scale of an all-zero block: both get code 0.
+    codes = encode_ue8m0_roundup(np.maximum(amax_b / E2M1_MAX, 2.0 ** -127))
     return codes, 1.0 / decode_ue8m0(codes), None
 
 

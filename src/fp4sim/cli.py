@@ -79,9 +79,9 @@ def _write_text(out_dir: str, name: str, text: str) -> None:
 def _load_config(path: str):
     """(config, []) for a valid config file, else (None, every violation)."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             doc = json.load(f)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise TensorFileError(f"{path}: not valid JSON ({e})")
     violations = validate_config(doc)
     return (None if violations else config_from_dict(doc)), violations

@@ -93,7 +93,7 @@ def apply_rht_tiled(x, spec: HadamardSpec) -> np.ndarray:
     therefore bitwise reproducible regardless of tiling or batching.  It has
     the memory layout of np.zeros_like(x.reshape(m, k // d, d)) reshaped to
     (m, k): an F-ordered x gives an F-ordered result.  The last axis must be
-    a multiple of d (callers pad first).
+    a multiple of d (apply_rht_padded pads first).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -163,14 +163,38 @@ def _transform_tiles(t, h, acc, prod) -> None:
         acc.reshape(d // period, period, -1)[1:] = acc[:period]
 
 
+def apply_rht_padded(x, spec: HadamardSpec) -> np.ndarray:
+    """apply_rht_tiled after zero-padding the last axis to a multiple of d.
+
+    np.pad keeps an F-ordered x F-ordered, and the result's memory order
+    follows x's (downstream sums run in memory order).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    pad = -x.shape[-1] % spec.d
+    if pad:
+        x = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, pad)])
+    return apply_rht_tiled(x, spec)
+
+
+def rht_pair(a, b, spec: HadamardSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Transform both operands of a @ b along the contracted dimension.
+
+    a is (m, k), b is (k, n).  The contracted dimension is zero-padded to a
+    transform multiple (padding contributes nothing to the product), then A
+    gets H on its row segments and B gets H^T on its column segments, so
+    the product is preserved.
+    """
+    return apply_rht_padded(a, spec), apply_rht_padded(np.asarray(b).T, spec).T
+
+
 def rht_pair_identity_check(a, b, spec: HadamardSpec) -> float:
     """Max absolute deviation of (A H)(H^T B) from A B.
 
-    a is (m, k), b is (k, n); both sides use the same transform, so the
-    deviation is pure float rounding (zero in exact arithmetic).
+    a is (m, k), b is (k, n); both sides use the same transform (k padded
+    as rht_pair pads it), so the deviation is pure float rounding (zero in
+    exact arithmetic).
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    ta = apply_rht_tiled(a, spec)
-    tb = apply_rht_tiled(b.T, spec).T  # (H^T tiles) applied down the rows
+    ta, tb = rht_pair(a, b, spec)
     return float(np.abs(ta @ tb - a @ b).max())

@@ -228,23 +228,20 @@ def _init_layers(widths, seed, who: str) -> list[LinearLayerState]:
     return layers
 
 
-def _wide_forward(layers, x):
-    a = x
-    for i, layer in enumerate(layers):
-        z = a @ layer.weights.T
-        a = np.maximum(z, 0.0) if i < len(layers) - 1 else z
-    return a
+# The teacher's policy: every layer wide.
+_WIDE = PrecisionPolicy(quantize=False)
 
 
-def _policy_forward(layers, x, policies, step):
-    """Evaluation pass through the network as configured: quantized layers
-    stay quantized (their deployed behavior), exempt layers run wide.  No
-    trace is kept, so no per-GEMM statistics are computed."""
+def _network_forward(layers, x, policies, step):
+    """The ReLU network on x, layer i under policies[i]; returns the output
+    and each layer's forward context, which backward() takes."""
+    ctxs = []
     a = x
-    for i, layer in enumerate(layers):
-        z, _ = forward(layer, a, replace(policies[i], collect_stats=False), step=step)
+    for i, (layer, policy) in enumerate(zip(layers, policies)):
+        z, ctx = forward(layer, a, policy, step=step)
+        ctxs.append(ctx)
         a = np.maximum(z, 0.0) if i < len(layers) - 1 else z
-    return a
+    return a, ctxs
 
 
 def _batch(cfg: ExperimentConfig, teacher, purpose: str, index: int, size: int):
@@ -269,7 +266,7 @@ def _batch(cfg: ExperimentConfig, teacher, purpose: str, index: int, size: int):
         x = x * scale
         if task.loss_weighting == "per_sample":
             weights = 1.0 / scale ** 2
-    t = _wide_forward(teacher, x)
+    t, _ = _network_forward(teacher, x, [_WIDE] * len(teacher), 0)
     if task.noise > 0:
         t = t + task.noise * normals(
             stream_key("noise", purpose, cfg.seed, index), t.shape)
@@ -347,8 +344,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     inconsistent_dgrads = 0
 
     def validate(step):
-        live = _apply_switch(policies, cfg, step)
-        yv = _policy_forward(student, xv, live, step)
+        # quantized layers stay quantized (their deployed behavior), exempt
+        # layers run wide; no per-GEMM statistics are computed
+        live = [replace(p, collect_stats=False)
+                for p in _apply_switch(policies, cfg, step)]
+        yv, _ = _network_forward(student, xv, live, step)
         loss = float(np.mean(wv * (yv - tv) ** 2))
         val_curve.append([step, loss])
         return loss
@@ -357,15 +357,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
         live = _apply_switch(policies, cfg, step)
         x, t, wts = _batch(cfg, teacher, "train", step, cfg.batch_size)
         try:
-            ctxs = []
-            zs = []
-            a = x
-            for i, layer in enumerate(student):
-                z, ctx = forward(layer, a, live[i], step=step)
-                ctxs.append(ctx)
-                zs.append(z)
-                a = np.maximum(z, 0.0) if i < n_layers - 1 else z
-            y = a
+            y, ctxs = _network_forward(student, x, live, step)
             loss = float(np.mean(wts * (y - t) ** 2))
             train_losses.append(loss)
             if not math.isfinite(loss) or loss > 1e30:
@@ -386,8 +378,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
                     slot["underflow_to_zero"] += tr.underflow_to_zero
                     if tr.consistent_weights is False:  # Dgrad only
                         inconsistent_dgrads += 1
-                if i:
-                    g = dx * (zs[i - 1] > 0)
+                if i:  # the layer's input is the ReLU of the one before
+                    g = dx * (ctxs[i].x > 0)
             if any(not np.isfinite(gr).all() for gr in grads):
                 diverged_at = step
                 break

@@ -38,9 +38,9 @@ from .blockquant import (
     rows1d,
     square2d,
 )
-from .codecs import NEAREST, RoundingMode, Stochastic
+from .codecs import NEAREST, Stochastic
 from .gemm import scaled_gemm, transpose_quantized_view
-from .hadamard import HadamardSpec, apply_rht_tiled
+from .hadamard import HadamardSpec, rht_pair
 from .reports import quantization_stats
 from .rng import stream_key
 from .schema import check_fields, one_of, raise_errors, subset_of
@@ -142,6 +142,16 @@ class FwdContext:
     trace: GemmTrace | None
 
 
+# Per GEMM, the (trace name, tensor role, stream tag) of the left and the
+# right operand.  The left operand is scaled along its rows and the right one
+# along its columns, so scales always run along the contracted dimension.
+_OPERANDS = {
+    GemmKind.FPROP: (("input", "activations", "x"), ("weight", "weights", "w")),
+    GemmKind.DGRAD: (("grad_out", "gradients", "dy"), ("weight", "weights", "w")),
+    GemmKind.WGRAD: (("grad_out", "gradients", "dy"), ("input", "activations", "x")),
+}
+
+
 def _as_rows(layout: ScalingLayout) -> ScalingLayout:
     return layout if layout.kind == "square" else rows1d(layout.block_len)
 
@@ -175,13 +185,6 @@ def _trace(policy: PrecisionPolicy, kind: GemmKind, operands,
     )
 
 
-def _mode(policy: PrecisionPolicy, role: str, layer_index: int, step: int,
-          tag: str) -> RoundingMode:
-    if role in policy.sr_roles:
-        return Stochastic((policy.seed, layer_index, step, tag))
-    return NEAREST
-
-
 def _instance_spec(policy: PrecisionPolicy, layer_index: int, step: int,
                    kind: GemmKind) -> HadamardSpec:
     if policy.sign_strategy == "none":
@@ -193,19 +196,42 @@ def _instance_spec(policy: PrecisionPolicy, layer_index: int, step: int,
     return replace(policy.rht_spec, sign_seed=derived)
 
 
-def _rht_pair(a: np.ndarray, b: np.ndarray, spec: HadamardSpec):
-    """Transform both operands of a @ b along the contracted dimension.
+def _gemm(policy: PrecisionPolicy, kind: GemmKind, layer_index: int, step: int,
+          a: np.ndarray, b: np.ndarray, qweight: QuantizedTensor | None = None):
+    """a @ b as one quantized GEMM of the given kind; returns (product,
+    trace, the right operand's encoding).
 
-    The contracted dimension is zero-padded to a transform multiple (padding
-    contributes nothing to the product), then A gets H on its row segments
-    and B gets H^T on its column segments, so the product is preserved.
+    Each operand follows its row of _OPERANDS: a Hadamard pair transform
+    first when the policy lists the GEMM, the policy's layout for its role,
+    stochastic rounding keyed by (seed, layer, step, "kind/tag") when the
+    policy lists its role.  qweight is the forward weight encoding, given
+    only to Dgrad: without a transform its transpose view stands in for the
+    right operand, and with stats on the trace records whether the weight
+    values match it.
     """
-    k = a.shape[1]
-    kp = -(-k // spec.d) * spec.d
-    if kp != k:
-        a = np.pad(a, ((0, 0), (0, kp - k)))
-        b = np.pad(b, ((0, kp - k), (0, 0)))
-    return apply_rht_tiled(a, spec), apply_rht_tiled(b.T, spec).T
+    transformed = kind in policy.rht_gemms
+    if transformed:
+        a, b = rht_pair(a, b, _instance_spec(policy, layer_index, step, kind))
+    reuse = qweight is not None and not transformed
+    operands = []
+    for (name, role, tag), values, orient in zip(_OPERANDS[kind], (a, b),
+                                                 (_as_rows, _as_cols)):
+        if role == "weights" and reuse:
+            mode, q = NEAREST, transpose_quantized_view(qweight)
+        else:
+            mode = (Stochastic((policy.seed, layer_index, step, f"{kind.value}/{tag}"))
+                    if role in policy.sr_roles else NEAREST)
+            layout = policy.weight_layout if role == "weights" else policy.act_grad_layout
+            q = quantize(values, policy.fmt, orient(layout), mode)
+        operands.append((name, values, q, mode))
+    qa, qb = operands[0][2], operands[1][2]
+    consistent = None
+    if policy.collect_stats and qweight is not None:
+        # a view of the forward encoding matches it by construction
+        consistent = reuse or bool(np.array_equal(dequantize(qb),
+                                                  dequantize(qweight).T))
+    trace = _trace(policy, kind, operands, consistent)
+    return scaled_gemm(qa, qb), trace, qb
 
 
 def forward(layer: LinearLayerState, x, policy: PrecisionPolicy,
@@ -216,82 +242,35 @@ def forward(layer: LinearLayerState, x, policy: PrecisionPolicy,
         y = x @ layer.weights.T
         return y, FwdContext(x=x, layer=layer, policy=policy, step=step,
                              qweight=None, trace=None)
-    a, b = x, layer.weights.T
-    transformed = GemmKind.FPROP in policy.rht_gemms
-    if transformed:
-        spec = _instance_spec(policy, layer.layer_index, step, GemmKind.FPROP)
-        a, b = _rht_pair(a, b, spec)
-    fmt = policy.fmt
-    mode_x = _mode(policy, "activations", layer.layer_index, step, "fprop/x")
-    mode_w = _mode(policy, "weights", layer.layer_index, step, "fprop/w")
-    qx = quantize(a, fmt, _as_rows(policy.act_grad_layout), mode_x)
-    qw = quantize(b, fmt, _as_cols(policy.weight_layout), mode_w)
-    trace = _trace(policy, GemmKind.FPROP,
-                   (("input", a, qx, mode_x), ("weight", b, qw, mode_w)))
-    y = scaled_gemm(qx, qw)
+    y, trace, qw = _gemm(policy, GemmKind.FPROP, layer.layer_index, step,
+                         x, layer.weights.T)
     # The forward encoding is reusable by Dgrad only if it encodes the raw
     # weights (no transform) in square tiles.
-    reusable = qw if (not transformed and policy.weight_layout.kind == "square") else None
+    reusable = (GemmKind.FPROP not in policy.rht_gemms
+                and policy.weight_layout.kind == "square")
     return y, FwdContext(x=x, layer=layer, policy=policy, step=step,
-                         qweight=reusable, trace=trace)
+                         qweight=qw if reusable else None, trace=trace)
 
 
 def backward(ctx: FwdContext, dy):
     """Gradients (dx, dW, traces) for the saved forward call.
 
-    Dgrad reuses the forward weight encoding through a transpose view when
-    the layout allows it; otherwise the weights are requantized along the
-    output dimension.  Wgrad optionally Hadamard-transforms both operands
-    along the batch.  All stochastic streams are keyed by (seed, layer,
-    step, operand tag), so recomputing this backward gives identical bits.
+    Dgrad (dx = dy @ W, contracted over out_features) reuses the forward
+    weight encoding through a transpose view when the layout allows it;
+    otherwise the weights are requantized along the output dimension.
+    Wgrad (dW = dy.T @ x) contracts the batch.  All stochastic streams are
+    keyed by (seed, layer, step, operand tag), so recomputing this backward
+    gives identical bits.
     """
     policy, layer, step, x = ctx.policy, ctx.layer, ctx.step, ctx.x
     dy = np.asarray(dy, dtype=np.float64)
     if not (policy.quantize and policy.quantize_backward):
         return dy @ layer.weights, dy.T @ x, []
-
-    fmt = policy.fmt
     li = layer.layer_index
-    traces = []
-
-    # Dgrad: dx = dy @ W, contracted over out_features.
-    a, b = dy, layer.weights
-    transformed = GemmKind.DGRAD in policy.rht_gemms
-    if transformed:
-        spec = _instance_spec(policy, li, step, GemmKind.DGRAD)
-        a, b = _rht_pair(a, b, spec)
-    mode_g = _mode(policy, "gradients", li, step, "dgrad/dy")
-    qdy = quantize(a, fmt, _as_rows(policy.act_grad_layout), mode_g)
-    reuse = not transformed and ctx.qweight is not None
-    if reuse:
-        qw = transpose_quantized_view(ctx.qweight)
-        mode_w = NEAREST
-    else:
-        mode_w = _mode(policy, "weights", li, step, "dgrad/w")
-        qw = quantize(b, fmt, _as_cols(policy.weight_layout), mode_w)
-    consistent = None
-    if policy.collect_stats and ctx.qweight is not None:
-        # a view of the forward encoding matches it by construction
-        consistent = reuse or bool(np.array_equal(dequantize(qw),
-                                                  dequantize(ctx.qweight).T))
-    traces.append(_trace(policy, GemmKind.DGRAD,
-                         (("grad_out", a, qdy, mode_g), ("weight", b, qw, mode_w)),
-                         consistent))
-    dx = scaled_gemm(qdy, qw)
-
-    # Wgrad: dW = dy.T @ x, contracted over the batch.
-    a2, b2 = dy.T, x
-    if GemmKind.WGRAD in policy.rht_gemms:
-        spec = _instance_spec(policy, li, step, GemmKind.WGRAD)
-        a2, b2 = _rht_pair(a2, b2, spec)
-    mode_g2 = _mode(policy, "gradients", li, step, "wgrad/dy")
-    mode_x2 = _mode(policy, "activations", li, step, "wgrad/x")
-    qg = quantize(a2, fmt, _as_rows(policy.act_grad_layout), mode_g2)
-    qx = quantize(b2, fmt, _as_cols(policy.act_grad_layout), mode_x2)
-    traces.append(_trace(policy, GemmKind.WGRAD,
-                         (("grad_out", a2, qg, mode_g2), ("input", b2, qx, mode_x2))))
-    dW = scaled_gemm(qg, qx)
-    return dx, dW, traces
+    dx, dgrad, _ = _gemm(policy, GemmKind.DGRAD, li, step, dy, layer.weights,
+                         ctx.qweight)
+    dW, wgrad, _ = _gemm(policy, GemmKind.WGRAD, li, step, dy.T, x)
+    return dx, dW, [dgrad, wgrad]
 
 
 def chain_rule_violation_metric(weights, policy: PrecisionPolicy) -> float:

@@ -37,7 +37,7 @@ from .blockquant import (
     rows1d,
 )
 from .codecs import _CHUNK, E2M1_MAX, E2M1_VALUES, NEAREST, RoundingMode
-from .hadamard import HadamardSpec, apply_rht_tiled
+from .hadamard import HadamardSpec, apply_rht_padded
 
 # TensorReport fields that quantization_stats leaves to the first read
 ON_FIRST_READ = ("sqnr_db", "amax_rel_error", "binade_utilization_mean",
@@ -244,11 +244,7 @@ def analyze_tensor(x, fmt: FormatSpec, layout: ScalingLayout | None = None,
     """
     x = np.asarray(x, dtype=np.float64)
     if rht is not None:
-        k = x.shape[1]
-        kp = -(-k // rht.d) * rht.d
-        if kp != k:
-            x = np.pad(x, ((0, 0), (0, kp - k)))
-        x = apply_rht_tiled(x, rht)
+        x = apply_rht_padded(x, rht)
     if layout is None:
         layout = rows1d(fmt.block_len)
     q = quantize(x, fmt, layout, mode)

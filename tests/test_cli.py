@@ -285,6 +285,14 @@ def test_run_invalid_json(tmp_path):
     assert main(["run", "--config", p, "--out-dir", str(tmp_path / "o")]) == 3
 
 
+def test_run_config_not_utf8(tmp_path, capsys):
+    p = str(tmp_path / "bad.json")
+    with open(p, "wb") as f:
+        f.write(b'{"steps": \xff}')
+    assert main(["run", "--config", p, "--out-dir", str(tmp_path / "o")]) == 3
+    assert f"{p}: not valid JSON" in capsys.readouterr().err
+
+
 def test_ablate_artifacts(tmp_path, capsys):
     cfgp = _tiny_config(tmp_path, steps=5)
     out = str(tmp_path / "abl")

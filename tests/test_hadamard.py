@@ -105,6 +105,13 @@ def test_pair_identity_small_and_random():
     assert rht_pair_identity_check(a, b, spec) < 1e-8
 
 
+def test_pair_identity_pads_the_contracted_dimension():
+    rng = np.random.default_rng(4)
+    a, b = rng.standard_normal((8, 18)), rng.standard_normal((18, 4))
+    spec = HadamardSpec(d=16, sign_seed=3)
+    assert rht_pair_identity_check(a, b, spec) < 1e-8 * np.linalg.norm(a @ b)
+
+
 def test_pair_identity_breaks_with_mismatched_signs():
     rng = np.random.default_rng(3)
     a, b = rng.standard_normal((32, 32)), rng.standard_normal((32, 32))

@@ -9,13 +9,12 @@ import pytest
 import fp4sim.linear as linear_module
 from fp4sim.blockquant import MXFP4, cols1d, rows1d, square2d
 from fp4sim.codecs import E2M1_GRID
-from fp4sim.hadamard import HadamardSpec
+from fp4sim.hadamard import HadamardSpec, rht_pair as _rht_pair
 from fp4sim.harness import reference_config, run_experiment
 from fp4sim.linear import (
     GemmKind,
     LinearLayerState,
     PrecisionPolicy,
-    _rht_pair,
     backward,
     chain_rule_violation_metric,
     forward,
@@ -291,6 +290,38 @@ def test_trace_contents():
     _, _, traces = backward(ctx, rng.standard_normal((16, 16)))
     assert traces[0].rounding["grad_out"] == "Stochastic"
     assert traces[1].layouts == {"grad_out": "nvfp4/rows", "input": "nvfp4/cols"}
+
+
+@pytest.mark.parametrize("weight_layout", [square2d(), rows1d(16)])
+def test_traces_follow_the_operand_table(monkeypatch, weight_layout):
+    # Every operand of the three GEMMs, with every role rounding
+    # stochastically: its trace name, its layout (rows on the left, columns
+    # on the right, the weight layout for weights) and its stream tag.
+    tags = []
+    real = linear_module.quantize
+    monkeypatch.setattr(linear_module, "quantize", lambda x, fmt, layout, mode:
+                        tags.append(mode.key_parts[-1]) or real(x, fmt, layout, mode))
+    rng = np.random.default_rng(17)
+    layer = _layer(rng, 16, 16)
+    pol = PrecisionPolicy(rht_gemms=frozenset(), weight_layout=weight_layout,
+                          sr_roles=frozenset({"gradients", "activations", "weights"}))
+    _, ctx = forward(layer, rng.standard_normal((16, 16)), pol)
+    _, _, (dgrad, wgrad) = backward(ctx, rng.standard_normal((16, 16)))
+    square = weight_layout.kind == "square"
+    w_layout = "nvfp4/square" if square else "nvfp4/cols"
+    assert ctx.trace.layouts == {"input": "nvfp4/rows", "weight": w_layout}
+    assert dgrad.layouts == {"grad_out": "nvfp4/rows", "weight": w_layout}
+    assert wgrad.layouts == {"grad_out": "nvfp4/rows", "input": "nvfp4/cols"}
+    for tr in (ctx.trace, dgrad, wgrad):
+        assert set(tr.quant_error) == set(tr.layouts)
+    assert ctx.trace.rounding == {"input": "Stochastic", "weight": "Stochastic"}
+    assert wgrad.rounding == {"grad_out": "Stochastic", "input": "Stochastic"}
+    # square tiles: Dgrad reads a view of the forward encoding, no rounding
+    assert dgrad.rounding == {"grad_out": "Stochastic",
+                              "weight": "NearestEven" if square else "Stochastic"}
+    assert dgrad.consistent_weights is (True if square else None)
+    assert tags == ["fprop/x", "fprop/w", "dgrad/dy",
+                    *([] if square else ["dgrad/w"]), "wgrad/dy", "wgrad/x"]
 
 
 def test_policy_validation():
