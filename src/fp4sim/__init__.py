@@ -83,7 +83,14 @@ from .linear import (
     chain_rule_violation_metric,
     forward,
 )
-from .reports import TensorReport, analyze_tensor, format_report_table, quantization_stats
+from .reports import (
+    OperandStats,
+    TensorReport,
+    analyze_tensor,
+    format_report_table,
+    quantization_stats,
+    tensor_report,
+)
 from .rng import normals, stream_key, uniforms, uniforms_at
 from .tensorfile import TensorFileError, read_tensor, write_tensor
 

@@ -407,9 +407,9 @@ class QuantizedTensor:
 
     A tensor the quantizer made also keeps its record of the input: the
     per-block amax (_amax_b) and encode multipliers (_enc_b), read-only over
-    the block grid.  quantization_stats reads them instead of blocking the
-    input again; a tensor built any other way (read from a container) has
-    none, and the stats rebuild them.
+    the block grid.  quantization_stats counts saturated elements from them
+    instead of blocking the input again; a tensor built any other way (read
+    from a container) has none, and the stats rebuild them.
 
     Construction checks the tensor-level scale (check_tensor_scale), and
     the first decode of the scale codes checks them: a code the encoders

@@ -20,8 +20,8 @@ product and every partial sum is an exactly representable multiple of g, so
 the matmul equals the block loop bit for bit in any summation order, fused
 multiply-adds included.  The certificate uses 2^52, not 2^53, so that the
 bound, itself computed in binary64, cannot round below its true value.  The
-block loop runs instead when the bound fails, when an operand has no
-nonzero block scale, or for accumulate="f32".
+block loop runs instead when the bound fails or when an operand has no
+nonzero block scale.
 """
 
 from __future__ import annotations
@@ -40,20 +40,15 @@ class NotTransposableError(GemmError):
     pass
 
 
-def scaled_gemm(qa: QuantizedTensor, qb: QuantizedTensor,
-                accumulate: str = "f64") -> np.ndarray:
+def scaled_gemm(qa: QuantizedTensor, qb: QuantizedTensor) -> np.ndarray:
     """(m, k) @ (k, n) on quantized operands, descaled per K-block.
 
     qa must carry scales along its rows ("rows" segments or square tiles)
     and qb along its columns ("cols" or square), so both operands share the
-    K-block boundaries of the contracted dimension.  accumulate selects the
-    cross-block accumulator width: "f64" (default) or "f32" to emulate a
-    narrower partial-sum register.
+    K-block boundaries of the contracted dimension.
     """
     if qa.fmt.name != qb.fmt.name:
         raise GemmError(f"operand formats differ: {qa.fmt.name} vs {qb.fmt.name}")
-    if accumulate not in ("f64", "f32"):
-        raise GemmError(f"unknown accumulator {accumulate!r}")
     if qa.layout.kind not in ("rows", "square"):
         raise GemmError("left operand must be scaled along rows (or in squares)")
     if qb.layout.kind not in ("cols", "square"):
@@ -72,12 +67,12 @@ def scaled_gemm(qa: QuantizedTensor, qb: QuantizedTensor,
     if kp != qb.block_map.padded_shape[0]:
         raise GemmError("padded inner dimensions differ")
 
-    if accumulate == "f64" and _certified_exact(qa, qb, m, n):
+    if _certified_exact(qa, qb, m, n):
         out = qa.unscaled_values()[:m] @ qb.unscaled_values()[:, :n]
         # BLAS leaves the sign of an exactly-zero sum open; the loop gives +0
         out += 0.0
     else:
-        out = _block_loop(qa, qb, block_k, accumulate)
+        out = _block_loop(qa, qb, block_k)
     if qa.fmt.has_tensor_scale:
         out *= qa.global_decode_scale * qb.global_decode_scale
     return out
@@ -121,8 +116,8 @@ def _certified_exact(qa: QuantizedTensor, qb: QuantizedTensor,
     return bool(bound < 2.0 ** 52 * grid)
 
 
-def _block_loop(qa: QuantizedTensor, qb: QuantizedTensor, block_k: int,
-                accumulate: str) -> np.ndarray:
+def _block_loop(qa: QuantizedTensor, qb: QuantizedTensor,
+                block_k: int) -> np.ndarray:
     """The contract computed literally, block by block, over the output's
     rows and columns: the reference that the certified product must equal.
 
@@ -134,12 +129,10 @@ def _block_loop(qa: QuantizedTensor, qb: QuantizedTensor, block_k: int,
     """
     ua = qa.unscaled_values()[:qa.shape[0]]
     ub = qb.unscaled_values()[:, :qb.shape[1]]
-    dtype = np.float64 if accumulate == "f64" else np.float32
-    out = np.zeros((ua.shape[0], ub.shape[1]), dtype=dtype)
+    out = np.zeros((ua.shape[0], ub.shape[1]))
     for k0 in range(0, ua.shape[1], block_k):
-        term = ua[:, k0:k0 + block_k] @ ub[k0:k0 + block_k]
-        out += term.astype(dtype, copy=False)
-    return out.astype(np.float64)
+        out += ua[:, k0:k0 + block_k] @ ub[k0:k0 + block_k]
+    return out
 
 
 def transpose_quantized_view(q: QuantizedTensor) -> QuantizedTensor:

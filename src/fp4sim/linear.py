@@ -41,7 +41,7 @@ from .blockquant import (
 from .codecs import NEAREST, Stochastic
 from .gemm import scaled_gemm, transpose_quantized_view
 from .hadamard import HadamardSpec, rht_pair
-from .reports import quantization_stats
+from .reports import OperandStats, quantization_stats
 from .rng import stream_key
 from .schema import check_fields, one_of, raise_errors, subset_of
 
@@ -160,19 +160,15 @@ def _as_cols(layout: ScalingLayout) -> ScalingLayout:
     return layout if layout.kind == "square" else cols1d(layout.block_len)
 
 
-class _NullStats:
-    """Placeholder when per-GEMM statistics are switched off."""
-
-    rel_fro_error = 0.0
-    saturated = 0
-    underflow_to_zero = 0
+# The stats of every operand when per-GEMM statistics are switched off
+_NO_STATS = OperandStats(rel_fro_error=0.0, saturated=0, underflow_to_zero=0)
 
 
 def _trace(policy: PrecisionPolicy, kind: GemmKind, operands,
            consistent_weights: bool | None = None) -> GemmTrace:
     """The trace of one GEMM from its two operands, each given as (name,
     values before quantization, quantized tensor, rounding mode)."""
-    stats = {name: quantization_stats(values, q) if policy.collect_stats else _NullStats
+    stats = {name: quantization_stats(values, q) if policy.collect_stats else _NO_STATS
              for name, values, q, _ in operands}
     return GemmTrace(
         kind=kind,
@@ -216,11 +212,14 @@ def _gemm(policy: PrecisionPolicy, kind: GemmKind, layer_index: int, step: int,
     operands = []
     for (name, role, tag), values, orient in zip(_OPERANDS[kind], (a, b),
                                                  (_as_rows, _as_cols)):
-        if role == "weights" and reuse:
-            mode, q = NEAREST, transpose_quantized_view(qweight)
+        # a reused weight encoding was rounded by Fprop, under its stream
+        reused = role == "weights" and reuse
+        stream = f"{GemmKind.FPROP.value if reused else kind.value}/{tag}"
+        mode = (Stochastic((policy.seed, layer_index, step, stream))
+                if role in policy.sr_roles else NEAREST)
+        if reused:
+            q = transpose_quantized_view(qweight)
         else:
-            mode = (Stochastic((policy.seed, layer_index, step, f"{kind.value}/{tag}"))
-                    if role in policy.sr_roles else NEAREST)
             layout = policy.weight_layout if role == "weights" else policy.act_grad_layout
             q = quantize(values, policy.fmt, orient(layout), mode)
         operands.append((name, values, q, mode))

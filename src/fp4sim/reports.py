@@ -5,15 +5,12 @@ the offline tensor reports printed by the command-line tools, so the two can
 never disagree about what "saturation" or "SQNR" means.
 
 With PrecisionPolicy.collect_stats on (the default), every quantized GEMM
-operand gets a quantization_stats call, and the GemmTrace keeps three of its
-fields: rel_fro_error (as quant_error), saturated and underflow_to_zero.  So
-the call computes only the fields that read the input x (those three and
-max_rel_error), and takes each block's amax and encode multiplier from the
-quantizer's record on the QuantizedTensor instead of blocking x again.  The
-ON_FIRST_READ fields (sqnr_db, amax_rel_error, binade_utilization_mean and
-_min) are computed when one of them is first read, from the decoded tensor
-and its error, which the report holds until then; analyze_tensor reads them
-before it returns.
+operand gets a quantization_stats call, which computes the three numbers
+its GemmTrace keeps: rel_fro_error (as quant_error), saturated and
+underflow_to_zero.  It takes each block's amax and encode multiplier from
+the quantizer's record on the QuantizedTensor instead of blocking x again.
+tensor_report, which analyze_tensor returns, takes those three fields from
+quantization_stats and computes the rest of a TensorReport in the same call.
 """
 
 from __future__ import annotations
@@ -39,20 +36,19 @@ from .blockquant import (
 from .codecs import _CHUNK, E2M1_MAX, E2M1_VALUES, NEAREST, RoundingMode
 from .hadamard import HadamardSpec, apply_rht_padded
 
-# TensorReport fields that quantization_stats leaves to the first read
-ON_FIRST_READ = ("sqnr_db", "amax_rel_error", "binade_utilization_mean",
-                 "binade_utilization_min")
+
+@dataclass(frozen=True)
+class OperandStats:
+    """What a GemmTrace keeps of one quantized operand."""
+
+    rel_fro_error: float
+    saturated: int               # elements whose scaled magnitude exceeded 6
+    underflow_to_zero: int       # nonzero inputs that decode to exactly zero
 
 
 @dataclass
 class TensorReport:
-    """Round-trip quality of one tensor under one format/layout choice.
-
-    A report from quantization_stats computes its ON_FIRST_READ fields when
-    one of them is first read (to_dict reads them all); until then they are
-    missing from the instance dict, and a private function of arrays only
-    the report holds stands in for them.
-    """
+    """Round-trip quality of one tensor under one format/layout choice."""
 
     fmt: str
     layout: str
@@ -69,53 +65,27 @@ class TensorReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def __getstate__(self) -> dict:
-        # copies and pickles carry values, not the pending function
-        getattr(self, ON_FIRST_READ[0])
-        return vars(self)
 
-    @classmethod
-    def _pending(cls, on_first_read, **known) -> TensorReport:
-        """A report whose ON_FIRST_READ fields on_first_read() returns."""
-        report = cls.__new__(cls)
-        vars(report).update(known, _on_first_read=on_first_read)
-        return report
-
-    def __getattr__(self, name):
-        # reached only for an attribute missing from the instance dict
-        pending = vars(self)
-        if name in ON_FIRST_READ and "_on_first_read" in pending:
-            pending.update(pending.pop("_on_first_read")())
-            return pending[name]
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}")
-
-
-def quantization_stats(x: np.ndarray, q: QuantizedTensor) -> TensorReport:
+def quantization_stats(x: np.ndarray, q: QuantizedTensor) -> OperandStats:
     """Compare a tensor with its quantized form.
 
     Precondition: x is the exact array that was quantized into q (post any
     transform; for a transpose view, the transpose of that array).  The
     per-block amax and encode multipliers come from the quantizer's record
-    on q, so the report reflects what the encoder actually saw; a q without
+    on q, so the stats reflect what the encoder actually saw; a q without
     one (read from a container) has them rebuilt from x and its scale
     codes.  An x whose shape differs from q's raises ValueError.
-
-    The fields that read x are computed in the call; the ON_FIRST_READ
-    fields wait for their first read and read only the decoded tensor, its
-    error and q's read-only codes, so changing x later changes no report.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != tuple(q.shape):
         raise ValueError(f"x has shape {x.shape} but the quantized tensor "
                          f"has shape {tuple(q.shape)}")
-    deq = dequantize(q)
-    err = x - deq
-    sig = float((x * x).sum())
-    rel_fro = _norm(err) / _norm(x) if sig else 0.0
+    err = dequantize(q)
     # x == 0 encodes to a zero code, so nonzero(deq) is a subset of nonzero(x);
     # counting a comparison skips the per-element test of a float count
-    underflow = int(np.count_nonzero(x != 0)) - int(np.count_nonzero(deq != 0))
+    underflow = int(np.count_nonzero(x != 0)) - int(np.count_nonzero(err != 0))
+    np.subtract(x, err, out=err)  # the decoded values become the error
+    norm_x = _norm(x)
 
     bm = q.block_map
     xp = _pad(x, bm)  # x itself when it needs no padding
@@ -124,14 +94,57 @@ def quantization_stats(x: np.ndarray, q: QuantizedTensor) -> TensorReport:
     else:
         amax_b, enc = q._amax_b, q._enc_b
 
-    return TensorReport._pending(
-        _on_first_read(deq, err, sig, amax_b, q.codes, bm),
-        fmt=q.fmt.name,
-        layout=q.layout.kind,
-        max_rel_error=_max_rel_error(x, err),
-        rel_fro_error=rel_fro,
+    return OperandStats(
+        rel_fro_error=_norm(err) / norm_x if norm_x else 0.0,
         saturated=_saturated(xp, bm, amax_b, enc),
         underflow_to_zero=underflow,
+    )
+
+
+def tensor_report(x: np.ndarray, q: QuantizedTensor) -> TensorReport:
+    """Every field of a TensorReport for x and its quantized form q, under
+    quantization_stats's precondition.  The three fields a GemmTrace keeps
+    come from quantization_stats; the rest read x, its error and q's codes.
+    """
+    stats = quantization_stats(x, q)
+    x = np.asarray(x, dtype=np.float64)
+    err = dequantize(q)
+    np.subtract(x, err, out=err)
+    sig = float((x * x).sum())
+    noise = float((err * err).sum())
+    if sig == 0.0:
+        sqnr = None
+    elif noise == 0.0:
+        sqnr = float("inf")
+    else:
+        sqnr = 10.0 * np.log10(sig / noise)
+    amax = float(max(x.max(), -x.min()))
+    # a positive decode scale rounds monotonically, so the decoded amax is
+    # the amax of the unscaled values times that scale
+    unscaled = q.unscaled_values()
+    amax_deq = float(max(unscaled.max(), -unscaled.min()))
+    if q.fmt.has_tensor_scale:
+        amax_deq *= q.global_decode_scale
+    bm = q.block_map
+    # E2M1 magnitudes rise with the low three code bits
+    block_max = E2M1_VALUES[_to_blocks(q.codes & 7, bm).max(axis=1)]
+    active = block_max > 0
+    if active.any():
+        util = np.log2(block_max[active] / 0.5)
+        util_mean, util_min = float(util.mean()), float(util.min())
+    else:
+        util_mean = util_min = 0.0
+    return TensorReport(
+        fmt=q.fmt.name,
+        layout=q.layout.kind,
+        sqnr_db=sqnr,
+        max_rel_error=_max_rel_error(x, err),
+        rel_fro_error=stats.rel_fro_error,
+        saturated=stats.saturated,
+        underflow_to_zero=stats.underflow_to_zero,
+        amax_rel_error=abs(amax_deq - amax) / amax if amax else 0.0,
+        binade_utilization_mean=util_mean,
+        binade_utilization_min=util_min,
         n_blocks=bm.n_blocks,
     )
 
@@ -203,36 +216,6 @@ def _saturated(xp: np.ndarray, bm: BlockMap, amax_b: np.ndarray,
     return saturated
 
 
-def _on_first_read(deq: np.ndarray, err: np.ndarray, sig: float,
-                   amax_b: np.ndarray, codes: np.ndarray, bm: BlockMap):
-    """The ON_FIRST_READ fields, as a function the report calls once."""
-
-    def compute() -> dict:
-        amax = float(amax_b.max())
-        noise = float((err * err).sum())
-        if sig == 0.0:
-            sqnr = None
-        elif noise == 0.0:
-            sqnr = float("inf")
-        else:
-            sqnr = 10.0 * np.log10(sig / noise)
-        amax_deq = float(np.abs(deq).max())
-        # E2M1 magnitudes rise with the low three code bits
-        block_max = E2M1_VALUES[_to_blocks(codes & 7, bm).max(axis=1)]
-        active = block_max > 0
-        if active.any():
-            util = np.log2(block_max[active] / 0.5)
-            util_mean, util_min = float(util.mean()), float(util.min())
-        else:
-            util_mean = util_min = 0.0
-        return dict(sqnr_db=sqnr,
-                    amax_rel_error=abs(amax_deq - amax) / amax if amax else 0.0,
-                    binade_utilization_mean=util_mean,
-                    binade_utilization_min=util_min)
-
-    return compute
-
-
 def analyze_tensor(x, fmt: FormatSpec, layout: ScalingLayout | None = None,
                    mode: RoundingMode = NEAREST,
                    rht: HadamardSpec | None = None) -> TensorReport:
@@ -249,8 +232,7 @@ def analyze_tensor(x, fmt: FormatSpec, layout: ScalingLayout | None = None,
         layout = rows1d(fmt.block_len)
     q = quantize(x, fmt, layout, mode)
     name = q.layout.kind + (f"+rht{rht.d}" if rht is not None else "")
-    # replace reads every field, so no decoded array outlives this call
-    return replace(quantization_stats(x, q), layout=name)
+    return replace(tensor_report(x, q), layout=name)
 
 
 def text_table(rows: list[list[str]]) -> str:

@@ -42,7 +42,7 @@ from fp4sim.codecs import (
     uniforms_at,
 )
 from fp4sim.gemm import transpose_quantized_view
-from fp4sim.reports import TensorReport, quantization_stats
+from fp4sim.reports import TensorReport, quantization_stats, tensor_report
 
 # --- the oracles ---------------------------------------------------------------
 
@@ -300,12 +300,12 @@ def test_quantize_and_stats_match_oracles(a, layout, pair, sr):
     _same(got.codes, want.codes)
     _same(got.scale_codes, want.scale_codes)
     assert repr(got.global_decode_scale) == repr(want.global_decode_scale)
-    report = quantization_stats(x, got).to_dict()
+    report = tensor_report(x, got).to_dict()
     assert {k: repr(v) for k, v in report.items()} == \
         {k: repr(v) for k, v in _oracle_stats(x, want).items()}
 
 
-# --- stats from the quantizer's record, fields on first read -------------------
+# --- stats from the quantizer's record -----------------------------------------
 
 _FIELDS = [f.name for f in dataclasses.fields(TensorReport)]
 
@@ -331,10 +331,10 @@ def _source(x, fmt, layout, mode, source):
 
 
 def _stats_match_oracle(x, q, order=_FIELDS):
-    """quantization_stats(x, q) equals the oracle by repr when its fields
+    """tensor_report(x, q) equals the oracle by repr when its fields
     are read in `order` after x was overwritten."""
     want = {k: repr(v) for k, v in _oracle_stats(x, q).items()}
-    report = quantization_stats(x, q)
+    report = tensor_report(x, q)
     x[...] = np.nan
     got = {name: repr(getattr(report, name)) for name in order}
     assert got == want

@@ -96,17 +96,6 @@ def test_square_scale_replication_is_bitwise():
     assert np.array_equal(scaled_gemm(qs, qb), scaled_gemm(q1, qb))
 
 
-def test_f32_accumulation_mode():
-    rng = np.random.default_rng(6)
-    qa, qb = _pair(rng, NVFP4, m=32, k=64, n=32)
-    wide = scaled_gemm(qa, qb)
-    narrow = scaled_gemm(qa, qb, accumulate="f32")
-    assert narrow.dtype == np.float64
-    assert _rel_fro(narrow, wide) < 1e-5
-    with pytest.raises(GemmError):
-        scaled_gemm(qa, qb, accumulate="f16")
-
-
 def test_gemm_operand_validation():
     rng = np.random.default_rng(7)
     qa = quantize(rng.standard_normal((16, 16)), NVFP4, rows1d(16))
@@ -200,10 +189,10 @@ def _lognormal_pair(pair, m, k, n, sigma, seed):
     return quantize(a, fmt, layout_a), quantize(b, fmt, layout_b)
 
 
-def _loop_gemm(qa, qb, accumulate="f64"):
+def _loop_gemm(qa, qb):
     """The block loop with the tensor-level scales applied."""
     block_k = 16 if qa.layout.kind == "square" else qa.layout.block_shape[1]
-    out = gemm._block_loop(qa, qb, block_k, accumulate)[:qa.shape[0], :qb.shape[1]]
+    out = gemm._block_loop(qa, qb, block_k)[:qa.shape[0], :qb.shape[1]]
     if qa.fmt.has_tensor_scale:
         out = out * (qa.global_decode_scale * qb.global_decode_scale)
     return out
@@ -266,7 +255,6 @@ def test_uncertified_product_reuses_decoded_values(monkeypatch):
     for module in (codecs, blockquant, gemm):
         monkeypatch.setattr(module, "decode_e2m1", counting, raising=False)
     scaled_gemm(qa, qb)
-    scaled_gemm(qa, qb, accumulate="f32")
     assert decodes == []
 
 
@@ -287,15 +275,13 @@ def _digest(out):
 
 def test_outputs_match_pinned_block_loop_digests():
     # digests of the block loop's outputs, taken before the certified path
-    # existed; the f32 accumulator rounds 29 of these entries
+    # existed
     rng = np.random.default_rng(12)
     a = rng.standard_normal((40, 200)) * np.exp(rng.normal(0, 3.0, (40, 200)))
     b = rng.standard_normal((200, 24))
     qa, qb = quantize(a, NVFP4, rows1d(16)), quantize(b, NVFP4, cols1d(16))
     assert _digest(scaled_gemm(qa, qb)) == (
         "39f3efc021bfe6be0c451739b58a524b13270bed98a77a3b944e37c90213e1a8")
-    assert _digest(scaled_gemm(qa, qb, accumulate="f32")) == (
-        "d1f37c7902344071e48b64705f3c6ff78c297eea27402acbca29b66fcbf49b54")
     for fmt, square, want in (
             (NVFP4, True, "b53608f1bdaee9e34287c0cb593005922259d771213af28afbfd0def34a538d0"),
             (MXFP4, False, "9b9b41637ff040373ea2ad207efd0c95fb6f20997dc13ad23b3e6cbeb2674757")):

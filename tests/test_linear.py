@@ -316,9 +316,9 @@ def test_traces_follow_the_operand_table(monkeypatch, weight_layout):
         assert set(tr.quant_error) == set(tr.layouts)
     assert ctx.trace.rounding == {"input": "Stochastic", "weight": "Stochastic"}
     assert wgrad.rounding == {"grad_out": "Stochastic", "input": "Stochastic"}
-    # square tiles: Dgrad reads a view of the forward encoding, no rounding
-    assert dgrad.rounding == {"grad_out": "Stochastic",
-                              "weight": "NearestEven" if square else "Stochastic"}
+    # square tiles: Dgrad reads a view of the forward encoding, which Fprop
+    # rounded stochastically
+    assert dgrad.rounding == {"grad_out": "Stochastic", "weight": "Stochastic"}
     assert dgrad.consistent_weights is (True if square else None)
     assert tags == ["fprop/x", "fprop/w", "dgrad/dy",
                     *([] if square else ["dgrad/w"]), "wgrad/dy", "wgrad/x"]
