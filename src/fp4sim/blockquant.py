@@ -52,7 +52,10 @@ nearest-even or stochastic.  The result keeps amax_b and s_enc_b.
 Scaling layouts tile a (R, C) tensor with (1, L) row segments, (L, 1) column
 segments, or 16x16 squares.  Tensors are zero-padded up to block multiples
 before encoding and cropped after decoding; block scales are indexed in
-row-major order over the block grid.
+row-major order over the block grid.  Blocks are a view of the padded
+tensor (BlockMap.view), which is encoded in its own row-major order, so
+stochastic rounding gives the element at (r, c) of an (R_p, C_p) padded
+tensor the stream's uniform at position r * C_p + c, whatever the layout.
 """
 
 from __future__ import annotations
@@ -76,7 +79,6 @@ from .codecs import (
     QuantizationError,
     RoundingMode,
     ScaleRangeError,
-    Stochastic,
     _encode_e2m1,
     _encode_e4m3,
     check_finite,
@@ -85,7 +87,6 @@ from .codecs import (
     decode_ue8m0,
     encode_ue8m0_roundup,
 )
-from .rng import positions_in_order
 
 
 class LayoutError(QuantizationError):
@@ -301,6 +302,14 @@ class BlockMap:
     def n_blocks(self) -> int:
         return self.grid_shape[0] * self.grid_shape[1]
 
+    def view(self, a: np.ndarray) -> np.ndarray:
+        """An array of the padded shape as a (grid rows, block rows, grid
+        cols, block cols) view: block (i, j) is [i, :, j, :], and an array g
+        over the block grid broadcasts over the blocks as g[:, None, :, None].
+        Splitting each axis in two needs no copy, whatever a's strides."""
+        (br, bc), (gr, gc) = self.block_shape, self.grid_shape
+        return a.reshape(gr, br, gc, bc)
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     view = np.asarray(a).view()
@@ -324,41 +333,18 @@ def block_decompose(shape: tuple[int, int], layout: ScalingLayout) -> BlockMap:
 
 @functools.lru_cache(maxsize=256)
 def _block_map(shape: tuple[int, int], layout: ScalingLayout) -> BlockMap:
-    """block_decompose of a (shape, layout) pair, built once: the block map
-    is part of the pair's plan, with its stochastic-rounding counters."""
+    """block_decompose of a (shape, layout) pair, built once."""
     return block_decompose(shape, layout)
 
 
 def _pad(x: np.ndarray, bm: BlockMap) -> np.ndarray:
-    pr = bm.padded_shape[0] - x.shape[0]
-    pc = bm.padded_shape[1] - x.shape[1]
-    if pr == 0 and pc == 0:
+    """x zero-padded to the padded shape: x itself when it needs no
+    padding, otherwise a new C-ordered array."""
+    if x.shape == bm.padded_shape:
         return x
-    return np.pad(x, ((0, pr), (0, pc)))
-
-
-def _to_blocks(xp: np.ndarray, bm: BlockMap) -> np.ndarray:
-    """Padded tensor -> (n_blocks, block_size) rows in grid row-major order."""
-    br, bc = bm.block_shape
-    gr, gc = bm.grid_shape
-    return (xp.reshape(gr, br, gc, bc)
-              .transpose(0, 2, 1, 3)
-              .reshape(bm.n_blocks, br * bc))
-
-
-def _from_blocks(blocks: np.ndarray, bm: BlockMap) -> np.ndarray:
-    br, bc = bm.block_shape
-    gr, gc = bm.grid_shape
-    return (blocks.reshape(gr, gc, br, bc)
-                  .transpose(0, 2, 1, 3)
-                  .reshape(bm.padded_shape))
-
-
-def _spare(x: np.ndarray, blocks: np.ndarray) -> np.ndarray | None:
-    """blocks when it is a copy of x (padded, or blocked across rows), so
-    scaling can overwrite it instead of making a second full-size array;
-    None when it is a view of x."""
-    return None if np.may_share_memory(blocks, x) else blocks
+    xp = np.zeros(bm.padded_shape)
+    xp[:x.shape[0], :x.shape[1]] = x
+    return xp
 
 
 def _check_input(x) -> np.ndarray:
@@ -368,28 +354,42 @@ def _check_input(x) -> np.ndarray:
     return x
 
 
-def _block_amax(x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Per-block max |x|, which also checks x: a NaN or infinity anywhere
-    makes its block's amax non-finite, and then check_finite(x) names it.
-    This is the quantizers' one finiteness check; the encoders they call
-    do not check again (except sr_round, which is public).
+def _row_chunks(a: np.ndarray) -> list[slice]:
+    """Slices of a's first axis, each about _CHUNK elements (at least one
+    index), so a chunk and its temporaries stay in a core's L2 cache."""
+    if a.size <= _CHUNK:
+        return [slice(None)]
+    step = max(1, _CHUNK // max(1, a[:1].size))
+    return [slice(i, i + step) for i in range(0, a.shape[0], step)]
 
-    A max along rows of 16 or 32 runs one short row at a time, so 1-D
+
+def _block_amax(x: np.ndarray, xp: np.ndarray, bm: BlockMap) -> np.ndarray:
+    """Per-block max |x| over the block grid, from xp, x padded by _pad.
+    It also checks x: a NaN or infinity anywhere makes its block's amax
+    non-finite, and then check_finite(x) names it.  This is the quantizers'
+    one finiteness check; the encoders they call do not check again
+    (except sr_round, which is public).
+
+    A max along rows of 16 or 32 runs one short row at a time, so row
     blocks are reduced transposed: |x| of a chunk of blocks goes into an
     (L, chunk) buffer, whose max down the columns runs along contiguous
-    rows.  A max is exact, so the order does not matter.
+    rows.  Column blocks and square tiles are reduced down their block rows
+    first, which also runs along contiguous rows, a chunk of block rows at
+    a time.  A max is exact, so the order does not matter.
     """
-    n, length = blocks.shape
-    if length >= 256:  # square tiles
-        amax_b = np.abs(blocks).max(axis=1)
-    else:
-        amax_b = np.empty(n)
-        step = max(1, _CHUNK // length)
-        buf = np.empty((length, min(step, n)))
-        for i in range(0, n, step):
-            chunk = blocks[i:i + step].T
+    amax_b = np.empty(bm.grid_shape)
+    br, bc = bm.block_shape
+    if br == 1:
+        blocks, out = xp.reshape(-1, bc), amax_b.reshape(-1)  # views
+        buf = np.empty((bc, min(len(blocks), _CHUNK // bc)))
+        for s in _row_chunks(blocks):
+            chunk = blocks[s].T
             mag = np.abs(chunk, out=buf[:, :chunk.shape[1]])
-            np.maximum.reduce(mag, axis=0, out=amax_b[i:i + step])
+            np.maximum.reduce(mag, axis=0, out=out[s])
+    else:
+        blocks = bm.view(xp)
+        for s in _row_chunks(blocks):
+            np.abs(blocks[s]).max(axis=1).max(axis=-1, out=amax_b[s])
     if not math.isfinite(amax_b.max()):  # a NaN max is a NaN
         check_finite(x)
     return amax_b
@@ -479,47 +479,14 @@ class QuantizedTensor:
         significant bits and a block scale at most four, and neither
         product nor scale leaves the normal binary64 range."""
         if self._unscaled is None:
-            bm = self._block_map
-            br, bc = bm.block_shape
-            gr, gc = bm.grid_shape
             vals = decode_e2m1(self.codes)
-            blocks = vals.reshape(gr, br, gc, bc)  # a view of vals
+            blocks = self._block_map.view(vals)  # a view of vals
             blocks *= self.scale_values()[:, None, :, None]
             self._unscaled = _read_only(vals)
         return self._unscaled
 
     def dequantize(self) -> np.ndarray:
         return dequantize(self)
-
-    def _keep_record(self, amax_b: np.ndarray, enc: np.ndarray) -> QuantizedTensor:
-        """Attach the quantizer's per-block amax and encode multipliers
-        (block order) as read-only arrays over the block grid."""
-        grid = self._block_map.grid_shape
-        self._amax_b = _read_only(amax_b.reshape(grid))
-        self._enc_b = _read_only(enc.reshape(grid))
-        return self
-
-
-def _block_positions(bm: BlockMap) -> np.ndarray:
-    """Padded-tensor element positions in block order, read-only.  Where
-    block order is memory order (rows, or a single column of blocks) they
-    are a view of rng.positions_in_order, which uniforms_at draws without a
-    gather."""
-    return _read_only(_to_blocks(positions_in_order(bm.padded_shape), bm))
-
-
-# The positions of tensors up to one chunk are kept per block map.
-_small_block_positions = functools.lru_cache(maxsize=64)(_block_positions)
-
-
-def _sr_counters(mode: RoundingMode, bm: BlockMap) -> np.ndarray | None:
-    """The positions that key the stochastic-rounding uniforms (element
-    positions in block order); nearest-even rounding reads none."""
-    if not isinstance(mode, Stochastic):
-        return None
-    if bm.padded_shape[0] * bm.padded_shape[1] <= _CHUNK:
-        return _small_block_positions(bm)
-    return _block_positions(bm)
 
 
 def quantize(x, fmt: FormatSpec, layout: ScalingLayout | None = None,
@@ -531,15 +498,17 @@ def quantize(x, fmt: FormatSpec, layout: ScalingLayout | None = None,
         layout = rows1d(fmt.block_len)
     check_layout(fmt, layout)
     bm = _block_map(x.shape, layout)
-    blocks = _to_blocks(_pad(x, bm), bm)
-    amax_b = _block_amax(x, blocks)
-    scale_codes, enc, s_dec = fmt.scale_rule(amax_b)
-    scaled = np.multiply(blocks, enc[:, None], out=_spare(x, blocks))
-    codes = _encode_e2m1(scaled, mode, counters=_sr_counters(mode, bm))
-    return QuantizedTensor._of_parts(
-        x.shape, np.ascontiguousarray(_from_blocks(codes, bm)),
-        scale_codes.reshape(bm.grid_shape), layout, fmt, s_dec, bm,
-    )._keep_record(amax_b, enc)
+    xp = np.ascontiguousarray(_pad(x, bm))
+    amax_b = _block_amax(x, xp, bm)
+    scale_codes, enc, s_dec = fmt.scale_rule(amax_b)  # elementwise over the grid
+    # a copy of x is scaled in place instead of making a second full-size array
+    scaled = xp if xp is not x else np.empty(bm.padded_shape)
+    np.multiply(bm.view(xp), enc[:, None, :, None], out=bm.view(scaled))
+    codes = _encode_e2m1(scaled, mode, counters=None)
+    q = QuantizedTensor._of_parts(x.shape, codes, scale_codes, layout, fmt, s_dec, bm)
+    q._amax_b = _read_only(amax_b)
+    q._enc_b = _read_only(enc)
+    return q
 
 
 def quantize_nvfp4(x, layout: ScalingLayout = rows1d(16),

@@ -303,7 +303,8 @@ def sr_round(x, stream: Stochastic, counters=None) -> np.ndarray:
     Bracket x between adjacent grid points lo <= x <= hi and pick hi with
     probability (x - lo) / (hi - lo), so the expectation equals x.  Exact
     grid points are returned unchanged; magnitudes beyond 6 clamp first.
-    The element at counter c consumes the stream uniform at position c.
+    The element at counter c consumes the stream uniform at position c; by
+    default an element's counter is its row-major position in x.
     """
     x = np.asarray(x, dtype=np.float64)
     check_finite(x)

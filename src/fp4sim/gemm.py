@@ -58,14 +58,9 @@ def scaled_gemm(qa: QuantizedTensor, qb: QuantizedTensor) -> np.ndarray:
     if ka != kb:
         raise GemmError(f"inner dimensions differ: {ka} vs {kb}")
 
-    block_k = qa.layout.block_shape[1] if qa.layout.kind != "square" else 16
-    block_k_b = qb.layout.block_shape[0] if qb.layout.kind != "square" else 16
-    if block_k != block_k_b:
+    block_k = qa.layout.block_shape[1]
+    if block_k != qb.layout.block_shape[0]:
         raise GemmError("operands decompose K with different block lengths")
-
-    kp = qa.block_map.padded_shape[1]
-    if kp != qb.block_map.padded_shape[0]:
-        raise GemmError("padded inner dimensions differ")
 
     if _certified_exact(qa, qb, m, n):
         out = qa.unscaled_values()[:m] @ qb.unscaled_values()[:, :n]
@@ -161,7 +156,7 @@ def transpose_quantized_view(q: QuantizedTensor) -> QuantizedTensor:
     if q._amax_b is not None:
         # so does the quantizer's record: block (i, j) of the transpose is
         # block (j, i) of q
-        view._keep_record(q._amax_b.T, q._enc_b.T)
+        view._amax_b, view._enc_b = q._amax_b.T, q._enc_b.T
     return view
 
 

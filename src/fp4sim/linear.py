@@ -117,8 +117,10 @@ class LinearLayerState:
 @dataclass
 class GemmTrace:
     """Record of one quantized GEMM: per-operand round-trip error plus
-    saturation/underflow counts, and for Dgrad whether the weight values
-    matched the forward encoding exactly."""
+    saturation/underflow counts, and, for a Dgrad given the forward weight
+    encoding, whether it multiplied by exactly those weight values: True
+    when it reused the encoding, False when it transformed both operands
+    (None otherwise)."""
 
     kind: GemmKind
     quant_error: dict
@@ -202,8 +204,7 @@ def _gemm(policy: PrecisionPolicy, kind: GemmKind, layer_index: int, step: int,
     stochastic rounding keyed by (seed, layer, step, "kind/tag") when the
     policy lists its role.  qweight is the forward weight encoding, given
     only to Dgrad: without a transform its transpose view stands in for the
-    right operand, and with stats on the trace records whether the weight
-    values match it.
+    right operand, and with stats on the trace records whether it did.
     """
     transformed = kind in policy.rht_gemms
     if transformed:
@@ -224,11 +225,9 @@ def _gemm(policy: PrecisionPolicy, kind: GemmKind, layer_index: int, step: int,
             q = quantize(values, policy.fmt, orient(layout), mode)
         operands.append((name, values, q, mode))
     qa, qb = operands[0][2], operands[1][2]
-    consistent = None
-    if policy.collect_stats and qweight is not None:
-        # a view of the forward encoding matches it by construction
-        consistent = reuse or bool(np.array_equal(dequantize(qb),
-                                                  dequantize(qweight).T))
+    # a view of the forward encoding matches it by construction, and a
+    # transformed Dgrad multiplies by rotated weights, which never do
+    consistent = reuse if policy.collect_stats and qweight is not None else None
     trace = _trace(policy, kind, operands, consistent)
     return scaled_gemm(qa, qb), trace, qb
 

@@ -27,13 +27,13 @@ from .blockquant import (
     ScalingLayout,
     _block_amax,
     _pad,
-    _to_blocks,
+    _row_chunks,
     dequantize,
     encode_multipliers,
     quantize,
     rows1d,
 )
-from .codecs import _CHUNK, E2M1_MAX, E2M1_VALUES, NEAREST, RoundingMode
+from .codecs import E2M1_MAX, E2M1_VALUES, NEAREST, RoundingMode
 from .hadamard import HadamardSpec, apply_rht_padded
 
 
@@ -87,16 +87,14 @@ def quantization_stats(x: np.ndarray, q: QuantizedTensor) -> OperandStats:
     np.subtract(x, err, out=err)  # the decoded values become the error
     norm_x = _norm(x)
 
-    bm = q.block_map
-    xp = _pad(x, bm)  # x itself when it needs no padding
     if q._amax_b is None:
-        amax_b, enc = _rebuilt_record(x, xp, q)
+        amax_b, enc = _rebuilt_record(x, q)
     else:
         amax_b, enc = q._amax_b, q._enc_b
 
     return OperandStats(
         rel_fro_error=_norm(err) / norm_x if norm_x else 0.0,
-        saturated=_saturated(xp, bm, amax_b, enc),
+        saturated=_saturated(x, q.block_map, amax_b, enc),
         underflow_to_zero=underflow,
     )
 
@@ -117,7 +115,7 @@ def tensor_report(x: np.ndarray, q: QuantizedTensor) -> TensorReport:
     elif noise == 0.0:
         sqnr = float("inf")
     else:
-        sqnr = 10.0 * np.log10(sig / noise)
+        sqnr = float(10.0 * np.log10(sig / noise))
     amax = float(max(x.max(), -x.min()))
     # a positive decode scale rounds monotonically, so the decoded amax is
     # the amax of the unscaled values times that scale
@@ -127,7 +125,7 @@ def tensor_report(x: np.ndarray, q: QuantizedTensor) -> TensorReport:
         amax_deq *= q.global_decode_scale
     bm = q.block_map
     # E2M1 magnitudes rise with the low three code bits
-    block_max = E2M1_VALUES[_to_blocks(q.codes & 7, bm).max(axis=1)]
+    block_max = E2M1_VALUES[bm.view(q.codes & 7).max(axis=(1, 3))]
     active = block_max > 0
     if active.any():
         util = np.log2(block_max[active] / 0.5)
@@ -157,23 +155,12 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(flat.dot(flat))
 
 
-def _row_chunks(a: np.ndarray) -> list[slice]:
-    """Slices of a's first axis, each about _CHUNK elements (at least one
-    index), so a chunk and its temporaries stay in a core's L2 cache."""
-    if a.size <= _CHUNK:
-        return [slice(None)]
-    step = max(1, _CHUNK // max(1, a[:1].size))
-    return [slice(i, i + step) for i in range(0, a.shape[0], step)]
-
-
-def _rebuilt_record(x: np.ndarray, xp: np.ndarray,
-                    q: QuantizedTensor) -> tuple[np.ndarray, np.ndarray]:
+def _rebuilt_record(x: np.ndarray, q: QuantizedTensor) -> tuple[np.ndarray, np.ndarray]:
     """The quantizer's record for a q that lacks one, over the block grid:
-    the block amax of x (xp padded) by the quantizers' own helper, and the
-    encode multipliers of q's stored scale codes."""
+    the block amax of x by the quantizers' own helper, and the encode
+    multipliers of q's stored scale codes."""
     bm = q.block_map
-    amax_b = _block_amax(x, _to_blocks(xp, bm))
-    return amax_b.reshape(bm.grid_shape), encode_multipliers(q)
+    return _block_amax(x, _pad(x, bm), bm), encode_multipliers(q)
 
 
 def _max_rel_error(x: np.ndarray, err: np.ndarray) -> float:
@@ -188,10 +175,10 @@ def _max_rel_error(x: np.ndarray, err: np.ndarray) -> float:
     return float(best)
 
 
-def _saturated(xp: np.ndarray, bm: BlockMap, amax_b: np.ndarray,
+def _saturated(x: np.ndarray, bm: BlockMap, amax_b: np.ndarray,
                enc: np.ndarray) -> int:
-    """Elements whose scaled magnitude |x| * enc_b exceeds E2M1_MAX, from
-    the padded x and the block grid's amax and encode multipliers.
+    """Elements whose scaled magnitude |x| * enc_b exceeds E2M1_MAX, from x
+    and the block grid's amax and encode multipliers.
 
     Only a block whose scaled amax amax_b * enc_b exceeds it can hold one:
     |x| <= amax_b, and multiplying by enc_b >= 0 rounds monotonically.
@@ -203,15 +190,14 @@ def _saturated(xp: np.ndarray, bm: BlockMap, amax_b: np.ndarray,
     """
     if (amax_b * enc).max() <= E2M1_MAX:
         return 0
-    (br, bc), (gr, gc) = bm.block_shape, bm.grid_shape
-    if not xp.flags.c_contiguous and xp.T.flags.c_contiguous:
-        # the same blocks, transposed, so that they are read in memory order
-        xp, enc, (br, bc), (gr, gc) = xp.T, enc.T, (bc, br), (gc, gr)
-    blocks = xp.reshape(gr, br, gc, bc)  # a view: block (i, j) is [i, :, j, :]
+    blocks, enc = bm.view(_pad(x, bm)), enc[:, None, :, None]
+    if not blocks.flags.c_contiguous:
+        # an F-ordered x: its blocks transposed, read in memory order
+        blocks, enc = blocks.transpose(2, 3, 0, 1), enc.transpose(2, 3, 0, 1)
     saturated = 0
     for s in _row_chunks(blocks):
         mag = np.abs(blocks[s])
-        mag *= enc[s, None, :, None]
+        mag *= enc[s]
         saturated += int(np.count_nonzero(mag > E2M1_MAX))
     return saturated
 

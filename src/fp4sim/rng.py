@@ -14,7 +14,9 @@ earlier call drew is carried over, and no thread sees another's state.
 
 from __future__ import annotations
 
+import collections
 import hashlib
+import math
 import threading
 import weakref
 
@@ -31,6 +33,11 @@ _ZEROS.setflags(write=False)
 # The arrays positions_in_order handed out, by size, while any view of one
 # is alive.
 _IN_ORDER: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# The last few arrays of at most one codec chunk of positions stay alive:
+# stochastic rounding of small tensors asks for the same few sizes, and
+# building one costs about as much as drawing it.
+_SMALL = 1 << 15
+_KEPT: collections.deque = collections.deque(maxlen=64)
 
 
 def stream_key(*parts) -> np.ndarray:
@@ -72,18 +79,20 @@ def uniforms(key: np.ndarray, count: int, start: int = 0) -> np.ndarray:
     return _generator(key, block).random(offset + int(count))[offset:]
 
 
-def positions_in_order(shape) -> np.ndarray:
+def positions_in_order(shape: tuple[int, ...]) -> np.ndarray:
     """Stream positions 0 .. n-1 in C order over shape, read-only.
 
     uniforms_at recognises these (and C-contiguous views of them of the
     same size) and draws the prefix without a gather or a bounds pass.
     """
-    n = int(np.prod(shape, dtype=np.int64))
+    n = math.prod(shape)
     base = _IN_ORDER.get(n)
     if base is None:
         base = np.arange(n, dtype=np.int64)
         base.setflags(write=False)
         _IN_ORDER[n] = base
+        if n <= _SMALL:
+            _KEPT.append(base)
     return base.reshape(shape)
 
 

@@ -43,6 +43,15 @@ from fp4sim.linear import (
 E4M3_EPS = 2.0 ** -9
 
 
+def _to_blocks(xp, bm):
+    """Padded tensor -> (n_blocks, block_size) rows in grid row-major order."""
+    br, bc = bm.block_shape
+    gr, gc = bm.grid_shape
+    return (xp.reshape(gr, br, gc, bc)
+              .transpose(0, 2, 1, 3)
+              .reshape(bm.n_blocks, br * bc))
+
+
 def criterion(num, desc):
     def deco(fn):
         @functools.wraps(fn)
@@ -100,7 +109,7 @@ def test_criterion_03():
     assert not ({4.0, 6.0} & set(np.abs(deq[0])))
     assert np.array_equal(deq[0, 1:4], [0.5, 1.0, 2.0])
     rng = np.random.default_rng(1)
-    from fp4sim.blockquant import _pad, _to_blocks
+    from fp4sim.blockquant import _pad
     for _ in range(20):
         t = rng.standard_normal((32, 64)) * np.exp(rng.normal(0, 4, (32, 1)))
         qt = quantize_mxfp4(t, rows1d(32))

@@ -22,7 +22,6 @@ from fp4sim.blockquant import (
     MXFP4,
     NVFP4,
     _pad,
-    _to_blocks,
     cols1d,
     dequantize,
     encode_multipliers,
@@ -96,6 +95,15 @@ def _oracle_encode_e4m3(x):
     return (idx + (neg.astype(np.int64) << 7)).astype(np.uint8)
 
 
+def _to_blocks(xp, bm):
+    """Padded tensor -> (n_blocks, block_size) rows in grid row-major order."""
+    br, bc = bm.block_shape
+    gr, gc = bm.grid_shape
+    return (xp.reshape(gr, br, gc, bc)
+              .transpose(0, 2, 1, 3)
+              .reshape(bm.n_blocks, br * bc))
+
+
 def _oracle_stats(x, q):
     """quantization_stats as it was: every field from full-size passes."""
     x = np.asarray(x, dtype=np.float64)
@@ -104,7 +112,7 @@ def _oracle_stats(x, q):
     sig = float(np.sum(x * x))
     noise = float(np.sum(err * err))
     sqnr = (None if sig == 0.0 else float("inf") if noise == 0.0
-            else 10.0 * np.log10(sig / noise))
+            else float(10.0 * np.log10(sig / noise)))
     nz = x != 0
     rel = np.divide(err, x, out=np.zeros_like(x), where=nz)
     max_rel = float(np.abs(rel, out=rel).max())

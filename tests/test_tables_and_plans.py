@@ -9,7 +9,7 @@ import pytest
 from test_codec_oracles import _oracle_encode_e2m1, _oracle_encode_e4m3, _same
 
 from fp4sim import blockquant, codecs, rng
-from fp4sim.blockquant import NVFP4, cols1d, quantize, rows1d, square2d
+from fp4sim.blockquant import NVFP4, cols1d, encode_multipliers, quantize, rows1d, square2d
 from fp4sim.codecs import NEAREST, Stochastic
 
 # --- bucket tables ---------------------------------------------------------------
@@ -104,32 +104,58 @@ def test_threads_draw_their_own_streams():
     assert not errors and got == want
 
 
-# --- block plans ----------------------------------------------------------------------
+# --- block plans and SR positions ----------------------------------------------------
 
 _PLAN_CASES = [
-    ((64, 64), rows1d(16)),    # in order
-    ((37, 45), rows1d(16)),    # in order, padded
-    ((40, 16), cols1d(16)),    # one column of blocks: in order
-    ((48, 32), cols1d(16)),    # gathered
-    ((37, 45), cols1d(16)),    # gathered, padded
-    ((20, 16), square2d()),    # one column of tiles: in order, padded
-    ((32, 48), square2d()),    # gathered
-    ((300, 257), rows1d(16)),  # past one chunk: not kept per block map
+    ((64, 64), rows1d(16)),
+    ((37, 45), rows1d(16)),    # padded
+    ((40, 16), cols1d(16)),    # one column of blocks
+    ((48, 32), cols1d(16)),
+    ((37, 45), cols1d(16)),    # padded
+    ((20, 16), square2d()),    # one column of tiles, padded
+    ((32, 48), square2d()),
+    ((300, 257), rows1d(16)),  # past one chunk
 ]
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("shape, layout", _PLAN_CASES)
-def test_block_positions_draw_the_uniforms_of_the_gathered_arange(shape, layout):
-    bm = blockquant.block_decompose(shape, layout)
-    counters = blockquant._sr_counters(Stochastic(("plan",)), bm)
-    n = bm.padded_shape[0] * bm.padded_shape[1]
-    gathered = blockquant._to_blocks(np.arange(n).reshape(bm.padded_shape), bm)
-    assert counters.tobytes() == gathered.tobytes()
-    assert counters.shape == gathered.shape and not counters.flags.writeable
-    key = rng.stream_key("plan", *shape)
-    want = rng.uniforms(key, n)[gathered]
-    assert rng.uniforms_at(key, counters).tobytes() == want.tobytes()
-    assert rng.uniforms_at(key, gathered).tobytes() == want.tobytes()
+def test_block_positions_draw_the_uniforms_of_the_gathered_arange(shape, layout, order):
+    # Whatever the layout and memory order, stochastic rounding gives the
+    # element at (r, c) of the padded tensor the uniform at r * C_p + c: the
+    # uniforms of the arange over the padded shape, which the oracle gathers.
+    x = np.asarray(np.random.default_rng(7).standard_normal(shape) * 3, order=order)
+    mode = Stochastic(("plan", *shape))
+    q = quantize(x, NVFP4, layout, mode)
+    (rp, cp), (br, bc), (gr, gc) = (q.block_map.padded_shape, q.block_map.block_shape,
+                                    q.block_map.grid_shape)
+    xp = np.zeros((rp, cp))
+    xp[:shape[0], :shape[1]] = x
+    enc = encode_multipliers(q)
+    scaled = (xp.reshape(gr, br, gc, bc) * enc[:, None, :, None]).reshape(rp, cp)
+    positions = np.arange(rp)[:, None] * cp + np.arange(cp)
+    want = _oracle_encode_e2m1(scaled, mode, positions)
+    assert q.codes.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("layout", [rows1d(16), cols1d(16), square2d()])
+def test_sr_quantize_draws_at_in_order_positions(monkeypatch, layout):
+    seen = []
+    real = codecs.uniforms_at
+
+    def recording(key, positions):
+        seen.append(positions)
+        return real(key, positions)
+
+    monkeypatch.setattr(codecs, "uniforms_at", recording)
+    x = np.random.default_rng(8).standard_normal((37, 45))
+    q = quantize(x, NVFP4, layout, Stochastic(("in-order",)))
+    (p,) = seen
+    rp, cp = q.block_map.padded_shape
+    assert p.size == rp * cp and p.flags.c_contiguous
+    assert p.tobytes() == np.arange(rp * cp).tobytes()
+    # the positions uniforms_at draws as the stream's prefix, without a gather
+    assert p.base is rng.positions_in_order(p.shape).base
 
 
 def test_only_whole_in_order_positions_skip_the_gather():
