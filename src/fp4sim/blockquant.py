@@ -4,7 +4,9 @@ A format is its block length, scale codec, and scale rule.  quantize cuts
 the padded tensor into blocks and takes each block's amax_b = max|x_i|; the
 scale rule turns these into the stored scale codes, the encode multipliers
 s_enc_b and the tensor decode scale; the codes are e2m1(x_i * s_enc_b),
-nearest-even or stochastic.  The result keeps amax_b and s_enc_b.
+nearest-even or stochastic.  The result holds what a container stores:
+codes, scale codes and the tensor decode scale, from which
+encode_multipliers recovers each block's multiplier.
 
 * ``NVFP4``: blocks of 16 share an E4M3 (fractional) scale, plus one FP32
   tensor-level scale chosen so the largest block scale lands at the top of
@@ -68,7 +70,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codecs import (
-    _CHUNK,
     E2M1_MAX,
     E4M3_MAX,
     E4M3_SMALLEST_POSITIVE,
@@ -87,6 +88,7 @@ from .codecs import (
     decode_ue8m0,
     encode_ue8m0_roundup,
 )
+from .rng import _CHUNK
 
 
 class LayoutError(QuantizationError):
@@ -395,27 +397,25 @@ def _block_amax(x: np.ndarray, xp: np.ndarray, bm: BlockMap) -> np.ndarray:
     return amax_b
 
 
-@dataclass
+@dataclass(eq=False)
 class QuantizedTensor:
-    """Codes, block scale codes, and enough metadata to dequantize.
+    """Codes, block scale codes, and enough metadata to dequantize: what a
+    container stores, and nothing else.
 
     codes cover the zero-padded shape; scale_codes are uint8 over the block
     grid.  global_decode_scale is the tensor-level decode scale (required
     for nvfp4, absent for mxfp4).  codes and scale_codes are held as
     read-only views, so the block map, the decoded block scales and the
-    decoded values derived from them are computed once.
+    decoded values derived from them, each a function of the stored
+    fields, are computed once.
 
-    A tensor the quantizer made also keeps its record of the input: the
-    per-block amax (_amax_b) and encode multipliers (_enc_b), read-only over
-    the block grid.  quantization_stats counts saturated elements from them
-    instead of blocking the input again; a tensor built any other way (read
-    from a container) has none, and the stats rebuild them.
-
-    Construction checks the tensor-level scale (check_tensor_scale), and
-    the first decode of the scale codes checks them: a code the encoders
-    never write raises ScaleCodeError instead of decoding to a NaN, a
-    negative or a 2^128 scale.  A tensor the quantizer made skips both
-    checks, as its parts are right by construction.
+    Every tensor, whether quantize, a transpose view or a container made
+    it, is checked the same way.  Construction checks the shapes against
+    the block map, the tensor-level scale (check_tensor_scale) and the
+    layout (check_layout), and the first decode of the scale codes checks
+    them: a code the encoders never write raises ScaleCodeError instead of
+    decoding to a NaN, a negative or a 2^128 scale.  Two tensors are equal
+    only when they are the same object.
     """
 
     shape: tuple[int, int]
@@ -424,15 +424,9 @@ class QuantizedTensor:
     layout: ScalingLayout
     fmt: FormatSpec
     global_decode_scale: float | None
-    _block_map: BlockMap = field(init=False, repr=False, compare=False)
-    _scales: np.ndarray | None = field(default=None, init=False, repr=False,
-                                       compare=False)
-    _unscaled: np.ndarray | None = field(default=None, init=False, repr=False,
-                                         compare=False)
-    _amax_b: np.ndarray | None = field(default=None, init=False, repr=False,
-                                       compare=False)
-    _enc_b: np.ndarray | None = field(default=None, init=False, repr=False,
-                                      compare=False)
+    _block_map: BlockMap = field(init=False, repr=False)
+    _scales: np.ndarray | None = field(default=None, init=False, repr=False)
+    _unscaled: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.codes = _read_only(self.codes)
@@ -445,19 +439,6 @@ class QuantizedTensor:
         check_tensor_scale(self.fmt, self.global_decode_scale)
         check_layout(self.fmt, self.layout)
 
-    @classmethod
-    def _of_parts(cls, shape: tuple[int, int], codes: np.ndarray,
-                  scale_codes: np.ndarray, layout: ScalingLayout, fmt: FormatSpec,
-                  global_decode_scale: float | None, bm: BlockMap) -> QuantizedTensor:
-        """A tensor from parts that fit by construction (the quantizer's, or
-        a transpose of a checked tensor's), without checking them again."""
-        q = cls.__new__(cls)
-        vars(q).update(shape=shape, codes=_read_only(codes),
-                       scale_codes=_read_only(scale_codes), layout=layout, fmt=fmt,
-                       global_decode_scale=global_decode_scale, _block_map=bm,
-                       _scales=None, _unscaled=None, _amax_b=None, _enc_b=None)
-        return q
-
     @property
     def block_map(self) -> BlockMap:
         return self._block_map
@@ -466,8 +447,7 @@ class QuantizedTensor:
         """Per-block decode scales (before the tensor-level scale) over the
         block grid; read-only, computed on first use."""
         if self._scales is None:
-            if self._amax_b is None:  # not made by the quantizer
-                _check_scale_codes(self.scale_codes, self.fmt)
+            _check_scale_codes(self.scale_codes, self.fmt)
             decode = decode_e4m3 if self.fmt.scale_codec == "e4m3" else decode_ue8m0
             self._scales = _read_only(decode(self.scale_codes))
         return self._scales
@@ -505,10 +485,7 @@ def quantize(x, fmt: FormatSpec, layout: ScalingLayout | None = None,
     scaled = xp if xp is not x else np.empty(bm.padded_shape)
     np.multiply(bm.view(xp), enc[:, None, :, None], out=bm.view(scaled))
     codes = _encode_e2m1(scaled, mode, counters=None)
-    q = QuantizedTensor._of_parts(x.shape, codes, scale_codes, layout, fmt, s_dec, bm)
-    q._amax_b = _read_only(amax_b)
-    q._enc_b = _read_only(enc)
-    return q
+    return QuantizedTensor(x.shape, codes, scale_codes, layout, fmt, s_dec)
 
 
 def quantize_nvfp4(x, layout: ScalingLayout = rows1d(16),
@@ -527,11 +504,13 @@ def quantize_mxfp4(x, layout: ScalingLayout = rows1d(32),
 
 
 def encode_multipliers(q: QuantizedTensor) -> np.ndarray:
-    """Per-block encode multipliers reconstructed from the stored codes.
+    """Per-block encode multipliers over the block grid, recovered from the
+    stored scale codes and tensor decode scale; what reads a tensor's
+    multipliers reads them here.
 
-    Multiplying original values by these reproduces exactly what the encoder
-    saw before E2M1 rounding; they equal the quantizer's record (_enc_b), so
-    the stats need them only for a tensor without one.
+    They are bit for bit the multipliers the scale rule gave quantize, so
+    multiplying the original values by these reproduces exactly what the
+    encoder saw before E2M1 rounding.
     """
     return _multipliers(q.scale_values(),
                         q.global_decode_scale if q.fmt.has_tensor_scale else 1.0)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import positions_in_order, stream_key, uniforms_at
+from .rng import _CHUNK, positions_in_order, stream_key, uniforms_at
 
 
 class QuantizationError(ValueError):
@@ -96,11 +96,6 @@ def check_finite(x: np.ndarray, where: str = "") -> None:
         i = int(np.argmin(finite.reshape(-1)))
         raise NonFiniteInputError(f"{where}non-finite value at flat index {i}: "
                                   f"{float(x.reshape(-1)[i])!r}")
-
-
-# Elements per chunk of the element-wise codecs: the chunk and its
-# temporaries stay in a core's L2 cache.
-_CHUNK = 1 << 15
 
 
 def _chunks(operands: list, dtypes: list):

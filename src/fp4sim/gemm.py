@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blockquant import SCALE_CODE_LIMIT, QuantizedTensor, _block_map, _read_only
+from .blockquant import SCALE_CODE_LIMIT, QuantizedTensor, _read_only
 from .codecs import E4M3_VALUES, decode_ue8m0
 
 
@@ -144,19 +144,14 @@ def transpose_quantized_view(q: QuantizedTensor) -> QuantizedTensor:
         raise NotTransposableError(
             "block scales along one axis do not transpose; requantize along "
             "the new dot-product dimension")
-    shape = (q.shape[1], q.shape[0])
-    view = QuantizedTensor._of_parts(
-        shape, np.ascontiguousarray(q.codes.T), np.ascontiguousarray(q.scale_codes.T),
-        q.layout, q.fmt, q.global_decode_scale, _block_map(shape, q.layout))
+    view = QuantizedTensor(
+        (q.shape[1], q.shape[0]), np.ascontiguousarray(q.codes.T),
+        np.ascontiguousarray(q.scale_codes.T), q.layout, q.fmt, q.global_decode_scale)
     # the decoded scales and values transpose with their codes; decode them
     # only once
     view._scales = _read_only(np.ascontiguousarray(q.scale_values().T))
     if q._unscaled is not None:
         view._unscaled = _read_only(np.ascontiguousarray(q._unscaled.T))
-    if q._amax_b is not None:
-        # so does the quantizer's record: block (i, j) of the transpose is
-        # block (j, i) of q
-        view._amax_b, view._enc_b = q._amax_b.T, q._enc_b.T
     return view
 
 

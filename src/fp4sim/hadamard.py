@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import stream_key, uniforms
+from .rng import _CHUNK, stream_key, uniforms
 from .schema import check_fields, raise_errors
 
 
@@ -75,11 +75,6 @@ def build_hadamard(spec: HadamardSpec) -> np.ndarray:
     return h
 
 
-# Tiles per chunk times d: one chunk's scratch (inputs, partial sums and a
-# product buffer, about 2.5 * 2^15 doubles) stays within a core's L2 cache.
-_CHUNK_ELEMS = 1 << 15
-
-
 def apply_rht_tiled(x, spec: HadamardSpec) -> np.ndarray:
     """Multiply every d-length segment along the last axis by H.
 
@@ -108,7 +103,9 @@ def apply_rht_tiled(x, spec: HadamardSpec) -> np.ndarray:
     # zeros_like's layout, as documented: sums downstream run in memory order
     out = np.empty_like(xr)
     tiles = xr.shape[1]
-    per_chunk = max(1, _CHUNK_ELEMS // d)
+    # tiles per chunk times d is _CHUNK: one chunk's scratch (inputs,
+    # partial sums and a product buffer) is about 2.5 * _CHUNK doubles
+    per_chunk = max(1, _CHUNK // d)
     ct = max(1, min(tiles, per_chunk))
     cr = per_chunk // ct
     size = d * min(m, cr) * ct

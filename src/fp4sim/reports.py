@@ -7,8 +7,8 @@ never disagree about what "saturation" or "SQNR" means.
 With PrecisionPolicy.collect_stats on (the default), every quantized GEMM
 operand gets a quantization_stats call, which computes the three numbers
 its GemmTrace keeps: rel_fro_error (as quant_error), saturated and
-underflow_to_zero.  It takes each block's amax and encode multiplier from
-the quantizer's record on the QuantizedTensor instead of blocking x again.
+underflow_to_zero.  It reads x and the QuantizedTensor alone, so a tensor
+from quantize, a transpose view or a container gives the same numbers.
 tensor_report, which analyze_tensor returns, takes those three fields from
 quantization_stats and computes the rest of a TensorReport in the same call.
 """
@@ -21,11 +21,9 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .blockquant import (
-    BlockMap,
     FormatSpec,
     QuantizedTensor,
     ScalingLayout,
-    _block_amax,
     _pad,
     _row_chunks,
     dequantize,
@@ -71,10 +69,10 @@ def quantization_stats(x: np.ndarray, q: QuantizedTensor) -> OperandStats:
 
     Precondition: x is the exact array that was quantized into q (post any
     transform; for a transpose view, the transpose of that array).  The
-    per-block amax and encode multipliers come from the quantizer's record
-    on q, so the stats reflect what the encoder actually saw; a q without
-    one (read from a container) has them rebuilt from x and its scale
-    codes.  An x whose shape differs from q's raises ValueError.
+    saturation count scales x by the encode multipliers of q's stored
+    scale codes, which are what the encoder applied, so the stats reflect
+    what the encoder actually saw, whichever way q was made.  An x whose
+    shape differs from q's raises ValueError.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != tuple(q.shape):
@@ -86,15 +84,9 @@ def quantization_stats(x: np.ndarray, q: QuantizedTensor) -> OperandStats:
     underflow = int(np.count_nonzero(x != 0)) - int(np.count_nonzero(err != 0))
     np.subtract(x, err, out=err)  # the decoded values become the error
     norm_x = _norm(x)
-
-    if q._amax_b is None:
-        amax_b, enc = _rebuilt_record(x, q)
-    else:
-        amax_b, enc = q._amax_b, q._enc_b
-
     return OperandStats(
         rel_fro_error=_norm(err) / norm_x if norm_x else 0.0,
-        saturated=_saturated(x, q.block_map, amax_b, enc),
+        saturated=_saturated(x, q),
         underflow_to_zero=underflow,
     )
 
@@ -155,14 +147,6 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(flat.dot(flat))
 
 
-def _rebuilt_record(x: np.ndarray, q: QuantizedTensor) -> tuple[np.ndarray, np.ndarray]:
-    """The quantizer's record for a q that lacks one, over the block grid:
-    the block amax of x by the quantizers' own helper, and the encode
-    multipliers of q's stored scale codes."""
-    bm = q.block_map
-    return _block_amax(x, _pad(x, bm), bm), encode_multipliers(q)
-
-
 def _max_rel_error(x: np.ndarray, err: np.ndarray) -> float:
     """max |err / x| over the nonzero x, a chunk of rows at a time.  A zero
     x decodes to zero, so its err is zero too, and fmax skips the 0 / 0
@@ -175,22 +159,19 @@ def _max_rel_error(x: np.ndarray, err: np.ndarray) -> float:
     return float(best)
 
 
-def _saturated(x: np.ndarray, bm: BlockMap, amax_b: np.ndarray,
-               enc: np.ndarray) -> int:
-    """Elements whose scaled magnitude |x| * enc_b exceeds E2M1_MAX, from x
-    and the block grid's amax and encode multipliers.
+def _saturated(x: np.ndarray, q: QuantizedTensor) -> int:
+    """Elements whose scaled magnitude |x| * enc_b exceeds E2M1_MAX, with
+    enc_b their block's multiplier from encode_multipliers(q).
 
-    Only a block whose scaled amax amax_b * enc_b exceeds it can hold one:
-    |x| <= amax_b, and multiplying by enc_b >= 0 rounds monotonically.
-    With no such block (every mxfp4 block) x is not read.  Otherwise every
-    block is scaled, a chunk of block rows at a time: E4M3 rounds about
-    half of the nvfp4 scales down, and gathering just those blocks costs
-    more than it skips.  |x| * enc_b equals the encoder's |x * enc_b|,
-    because rounding is symmetric.
+    Every block is scaled, a chunk of block rows at a time: E4M3 rounds
+    about half of the nvfp4 scales down, and gathering just those blocks
+    costs more than it skips.  An mxfp4 scale rounds up, so its blocks
+    count zero, but x is read for them all the same: a shortcut on the
+    block amaxes would need a pass over x of its own.  |x| * enc_b equals
+    the encoder's |x * enc_b|, because rounding is symmetric.
     """
-    if (amax_b * enc).max() <= E2M1_MAX:
-        return 0
-    blocks, enc = bm.view(_pad(x, bm)), enc[:, None, :, None]
+    bm = q.block_map
+    blocks, enc = bm.view(_pad(x, bm)), encode_multipliers(q)[:, None, :, None]
     if not blocks.flags.c_contiguous:
         # an F-ordered x: its blocks transposed, read in memory order
         blocks, enc = blocks.transpose(2, 3, 0, 1), enc.transpose(2, 3, 0, 1)

@@ -33,10 +33,13 @@ _ZEROS.setflags(write=False)
 # The arrays positions_in_order handed out, by size, while any view of one
 # is alive.
 _IN_ORDER: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# Elements per chunk of the chunked element-wise loops (the codecs, the
+# block amax and stats passes, the tiled Hadamard transform): a chunk and
+# its temporaries stay in a core's L2 cache.
+_CHUNK = 1 << 15
 # The last few arrays of at most one codec chunk of positions stay alive:
 # stochastic rounding of small tensors asks for the same few sizes, and
 # building one costs about as much as drawing it.
-_SMALL = 1 << 15
 _KEPT: collections.deque = collections.deque(maxlen=64)
 
 
@@ -91,7 +94,7 @@ def positions_in_order(shape: tuple[int, ...]) -> np.ndarray:
         base = np.arange(n, dtype=np.int64)
         base.setflags(write=False)
         _IN_ORDER[n] = base
-        if n <= _SMALL:
+        if n <= _CHUNK:
             _KEPT.append(base)
     return base.reshape(shape)
 

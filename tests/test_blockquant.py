@@ -362,16 +362,14 @@ def _extreme_rows(draw):
     return np.ldexp(mant, exps)
 
 
-def _same_bits(a, b):
-    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
-
-
 @settings(max_examples=50, deadline=None)
 @given(_extreme_rows())
 @example(np.ldexp(1.0, np.array([[128] + [-1074] * 31, [-200] * 31 + [-1074]])))
 def test_single_multiply_at_extreme_magnitudes(x):
     # mxfp4 scales by multiplying with 2^-k.  Dividing by 2^k rounds the same
     # real number, so the division is the oracle, subnormal results included.
+    # For both formats, the multipliers rebuilt from the stored scales are
+    # the ones the encoder applied: x times them encodes to q's codes.
     amax = np.abs(x).max()
     for mode in (NEAREST, Stochastic(("extreme-magnitudes",))):
         if amax / 6 > 2.0 ** 127:
@@ -381,13 +379,20 @@ def test_single_multiply_at_extreme_magnitudes(x):
             q = quantize_mxfp4(x, rows1d(32), mode)
             want = codecs._encode_e2m1(x / decode_ue8m0(q.scale_codes), mode, None)
             assert np.array_equal(q.codes, want)
-            assert _same_bits(q._enc_b, encode_multipliers(q))
+            assert _encodes_with_its_multipliers(x, q, mode)
         if amax < NVFP4_MIN_AMAX:
             with pytest.raises(ScaleRangeError):
                 quantize_nvfp4(x, rows1d(16), mode)
         else:
             q = quantize_nvfp4(x, rows1d(16), mode)
-            assert _same_bits(q._enc_b, encode_multipliers(q))
+            assert _encodes_with_its_multipliers(x, q, mode)
+
+
+def _encodes_with_its_multipliers(x, q, mode):
+    """x times encode_multipliers(q), each row block's multiplier repeated
+    over its block, encodes in mode to q's codes bit for bit."""
+    enc = np.repeat(encode_multipliers(q), q.layout.block_len, axis=1)
+    return np.array_equal(codecs._encode_e2m1(x * enc, mode, None), q.codes)
 
 
 def test_format_repr_has_no_function_address():
@@ -491,3 +496,12 @@ def test_quantized_tensor_layout_format_coupling():
     with pytest.raises(LayoutError):
         QuantizedTensor(qm.shape, qm.codes, qm.scale_codes, rows1d(16),
                         MXFP4, None)
+
+
+def test_quantized_tensors_compare_by_identity():
+    # Comparing the arrays field by field would raise on their truth value;
+    # a tensor equals itself only, and hashes.
+    x = np.random.default_rng(6).standard_normal((16, 32))
+    q, again = quantize(x, NVFP4), quantize(x, NVFP4)
+    assert q == q and not (q == again) and q != again
+    assert len({hash(q), hash(again)}) == 2 and {q: 1}[q] == 1

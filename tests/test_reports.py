@@ -1,6 +1,5 @@
-"""quantization_stats, tensor_report and analyze_tensor: preconditions, the
-quantizer's record, what the trace path computes, and the bytes analyze
-prints."""
+"""quantization_stats, tensor_report and analyze_tensor: preconditions,
+what the trace path computes, and the bytes analyze prints."""
 
 import copy
 import hashlib
@@ -12,15 +11,10 @@ import numpy as np
 import pytest
 
 from fp4sim import harness, reports, tensorfile
-from fp4sim.blockquant import MXFP4, NVFP4, cols1d, quantize, rows1d, square2d
+from fp4sim.blockquant import MXFP4, NVFP4, quantize, square2d
 from fp4sim.cli import main
-from fp4sim.codecs import Stochastic
-from fp4sim.gemm import transpose_quantized_view
 from fp4sim.hadamard import HadamardSpec
 from fp4sim.reports import OperandStats, analyze_tensor, quantization_stats, tensor_report
-
-_ENCODINGS = [(NVFP4, rows1d(16)), (NVFP4, cols1d(16)), (NVFP4, square2d()),
-              (MXFP4, rows1d(32)), (MXFP4, cols1d(32))]
 
 
 def _tensor(shape=(40, 64), seed=2):
@@ -34,37 +28,6 @@ def test_stats_reject_an_x_of_another_shape(x_shape):
     x = np.ones(x_shape)
     with pytest.raises(ValueError, match=rf"{x_shape}.*\(4, 16\)"):
         quantization_stats(x, q)
-
-
-def _counting(monkeypatch, name):
-    calls = []
-    real = getattr(reports, name)
-
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(reports, name, counted)
-    return calls
-
-
-@pytest.mark.parametrize("fmt, layout", _ENCODINGS)
-def test_stats_read_the_quantizers_record(monkeypatch, tmp_path, fmt, layout):
-    # With the quantizer's record on q, the stats neither rebuild the block
-    # amax from x nor the encode multipliers from the scale codes.  Before,
-    # every call made both passes.
-    rebuilt = _counting(monkeypatch, "_rebuilt_record")
-    multipliers = _counting(monkeypatch, "encode_multipliers")
-    x = _tensor()
-    q = quantize(x, fmt, layout, Stochastic(("record",)))
-    tensor_report(x, q).to_dict()
-    if layout.kind == "square":
-        tensor_report(x.T, transpose_quantized_view(q)).to_dict()
-    assert rebuilt == [] and multipliers == []
-    path = os.path.join(tmp_path, "q.fp4t")
-    tensorfile.write_tensor(path, q)
-    tensor_report(x, tensorfile.read_tensor(path)).to_dict()
-    assert len(rebuilt) == 1 and len(multipliers) == 1
 
 
 @pytest.mark.parametrize("rht", [None, HadamardSpec(d=16)])
