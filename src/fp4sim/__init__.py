@@ -22,8 +22,6 @@ from .blockquant import (
     encode_multipliers,
     global_encode_scale,
     quantize,
-    quantize_mxfp4,
-    quantize_nvfp4,
     rows1d,
     square2d,
 )

@@ -472,7 +472,10 @@ class QuantizedTensor:
 def quantize(x, fmt: FormatSpec, layout: ScalingLayout | None = None,
              mode: RoundingMode = NEAREST) -> QuantizedTensor:
     """Encode a 2-D tensor in fmt under layout (default: rows of the format's
-    block length); only the format's scale rule differs between formats."""
+    block length); only the format's scale rule differs between formats.
+    Raises ScaleRangeError, before any encoding, for an nvfp4 tensor amax
+    that is nonzero but below NVFP4_MIN_AMAX, or an mxfp4 block amax above
+    6 * 2^127."""
     x = _check_input(x)
     if layout is None:
         layout = rows1d(fmt.block_len)
@@ -484,23 +487,8 @@ def quantize(x, fmt: FormatSpec, layout: ScalingLayout | None = None,
     # a copy of x is scaled in place instead of making a second full-size array
     scaled = xp if xp is not x else np.empty(bm.padded_shape)
     np.multiply(bm.view(xp), enc[:, None, :, None], out=bm.view(scaled))
-    codes = _encode_e2m1(scaled, mode, counters=None)
+    codes = _encode_e2m1(scaled, mode)
     return QuantizedTensor(x.shape, codes, scale_codes, layout, fmt, s_dec)
-
-
-def quantize_nvfp4(x, layout: ScalingLayout = rows1d(16),
-                   mode: RoundingMode = NEAREST) -> QuantizedTensor:
-    """Encode a 2-D tensor as nvfp4 under `layout`.
-
-    Raises ScaleRangeError, before any encoding, when the tensor amax is
-    nonzero but below NVFP4_MIN_AMAX.
-    """
-    return quantize(x, NVFP4, layout, mode)
-
-
-def quantize_mxfp4(x, layout: ScalingLayout = rows1d(32),
-                   mode: RoundingMode = NEAREST) -> QuantizedTensor:
-    return quantize(x, MXFP4, layout, mode)
 
 
 def encode_multipliers(q: QuantizedTensor) -> np.ndarray:

@@ -136,19 +136,20 @@ class _OneChunk:
         yield tuple(op.reshape(-1) for op in self.operands)
 
 
-def encode_e2m1(x, mode: RoundingMode = NEAREST, counters=None) -> np.ndarray:
+def encode_e2m1(x, mode: RoundingMode = NEAREST) -> np.ndarray:
     """Map values to 4-bit codes.
 
     Nearest-even: magnitudes above 6 saturate to +-6; ties between adjacent
     codes resolve toward the even mantissa bit.  Stochastic: rounds via
-    sr_round using the given counter array (element positions by default).
+    sr_round, so the element at row-major position i in x takes the
+    stream's uniform at position i.
     """
     x = np.asarray(x, dtype=np.float64)
     check_finite(x)
-    return _encode_e2m1(x, mode, counters)
+    return _encode_e2m1(x, mode)
 
 
-def _encode_e2m1(x: np.ndarray, mode: RoundingMode, counters) -> np.ndarray:
+def _encode_e2m1(x: np.ndarray, mode: RoundingMode) -> np.ndarray:
     """encode_e2m1 of a float64 array the caller has checked to be finite;
     only sr_round checks again.  The codes keep x's memory layout.
 
@@ -161,7 +162,7 @@ def _encode_e2m1(x: np.ndarray, mode: RoundingMode, counters) -> np.ndarray:
     _GRID_CODES, keyed by those bits."""
     stochastic = isinstance(mode, Stochastic)
     if stochastic:
-        x = sr_round(x, mode, counters=counters)
+        x = sr_round(x, mode)
     with _chunks([x, None], [np.float64, np.uint8]) as it:
         for xs, codes in it:
             if stochastic:
@@ -292,20 +293,18 @@ def _sr_brackets() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _SR_LO, _SR_HI, _SR_INV_GAP = _sr_brackets()
 
 
-def sr_round(x, stream: Stochastic, counters=None) -> np.ndarray:
+def sr_round(x, stream: Stochastic) -> np.ndarray:
     """Stochastic rounding onto the signed E2M1 grid; returns grid values.
 
     Bracket x between adjacent grid points lo <= x <= hi and pick hi with
     probability (x - lo) / (hi - lo), so the expectation equals x.  Exact
     grid points are returned unchanged; magnitudes beyond 6 clamp first.
-    The element at counter c consumes the stream uniform at position c; by
-    default an element's counter is its row-major position in x.
+    The element at row-major position i in x consumes the stream's uniform
+    at position i.
     """
     x = np.asarray(x, dtype=np.float64)
     check_finite(x)
-    if counters is None:
-        counters = positions_in_order(x.shape)
-    u = uniforms_at(stream.key(), counters)
+    u = uniforms_at(stream.key(), positions_in_order(x.shape))
     with _chunks([u, x, None], [np.float64] * 3) as it:
         for us, xs, out in it:
             # a logical shift, then int64 so the gathers need no cast

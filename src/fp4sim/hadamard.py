@@ -183,15 +183,3 @@ def rht_pair(a, b, spec: HadamardSpec) -> tuple[np.ndarray, np.ndarray]:
     """
     return apply_rht_padded(a, spec), apply_rht_padded(np.asarray(b).T, spec).T
 
-
-def rht_pair_identity_check(a, b, spec: HadamardSpec) -> float:
-    """Max absolute deviation of (A H)(H^T B) from A B.
-
-    a is (m, k), b is (k, n); both sides use the same transform (k padded
-    as rht_pair pads it), so the deviation is pure float rounding (zero in
-    exact arithmetic).
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    ta, tb = rht_pair(a, b, spec)
-    return float(np.abs(ta @ tb - a @ b).max())

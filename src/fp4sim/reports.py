@@ -16,6 +16,7 @@ quantization_stats and computes the rest of a TensorReport in the same call.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -31,7 +32,7 @@ from .blockquant import (
     quantize,
     rows1d,
 )
-from .codecs import E2M1_MAX, E2M1_VALUES, NEAREST, RoundingMode
+from .codecs import E2M1_MAX, E2M1_VALUES
 from .hadamard import HadamardSpec, apply_rht_padded
 
 
@@ -83,9 +84,9 @@ def quantization_stats(x: np.ndarray, q: QuantizedTensor) -> OperandStats:
     # counting a comparison skips the per-element test of a float count
     underflow = int(np.count_nonzero(x != 0)) - int(np.count_nonzero(err != 0))
     np.subtract(x, err, out=err)  # the decoded values become the error
-    norm_x = _norm(x)
+    sq_x, sq_err = _sums_of_squares(x, err, _dot)
     return OperandStats(
-        rel_fro_error=_norm(err) / norm_x if norm_x else 0.0,
+        rel_fro_error=math.sqrt(sq_err) / math.sqrt(sq_x) if sq_x else 0.0,
         saturated=_saturated(x, q),
         underflow_to_zero=underflow,
     )
@@ -100,8 +101,7 @@ def tensor_report(x: np.ndarray, q: QuantizedTensor) -> TensorReport:
     x = np.asarray(x, dtype=np.float64)
     err = dequantize(q)
     np.subtract(x, err, out=err)
-    sig = float((x * x).sum())
-    noise = float((err * err).sum())
+    sig, noise = _sums_of_squares(x, err, lambda a: float((a * a).sum()))
     if sig == 0.0:
         sqnr = None
     elif noise == 0.0:
@@ -139,12 +139,26 @@ def tensor_report(x: np.ndarray, q: QuantizedTensor) -> TensorReport:
     )
 
 
-def _norm(a: np.ndarray) -> float:
-    """np.linalg.norm(a) of a float64 array by its own steps (a dot product
-    of the flattened array in memory order, then a square root), without
-    the dispatch around them."""
+def _dot(a: np.ndarray) -> float:
+    """The sum of squares np.linalg.norm(a) takes the root of, by its own
+    step (a dot product of the flattened array in memory order), without
+    the dispatch around it."""
     flat = a.ravel(order="K")
-    return math.sqrt(flat.dot(flat))
+    return float(flat.dot(flat))
+
+
+def _sums_of_squares(x, err, total) -> tuple[float, float]:
+    """The sums of squares total(x) and total(err).  Where either is not a
+    finite normal number, both are taken of x * s and err * s, s the power
+    of two that brings max|x| into [0.5, 1) (at most 2^1023): exact for
+    elements above 2^-1021 max|x|, so the sums' ratio keeps its bits."""
+    with np.errstate(over="ignore"):
+        sums = total(x), total(err)
+        if not all(sys.float_info.min <= v <= sys.float_info.max for v in sums):
+            amax = float(max(x.max(), -x.min()))
+            s = math.ldexp(1.0, min(-math.frexp(amax)[1], 1023))
+            sums = total(x * s), total(err * s)
+    return sums
 
 
 def _max_rel_error(x: np.ndarray, err: np.ndarray) -> float:
@@ -184,9 +198,8 @@ def _saturated(x: np.ndarray, q: QuantizedTensor) -> int:
 
 
 def analyze_tensor(x, fmt: FormatSpec, layout: ScalingLayout | None = None,
-                   mode: RoundingMode = NEAREST,
                    rht: HadamardSpec | None = None) -> TensorReport:
-    """Quantize-and-report, optionally transforming the rows first.
+    """Quantize nearest-even and report, optionally transforming the rows.
 
     With rht set, each row is Hadamard-transformed along the last axis
     (zero-padded to a transform multiple) before quantization, mirroring how
@@ -197,7 +210,7 @@ def analyze_tensor(x, fmt: FormatSpec, layout: ScalingLayout | None = None,
         x = apply_rht_padded(x, rht)
     if layout is None:
         layout = rows1d(fmt.block_len)
-    q = quantize(x, fmt, layout, mode)
+    q = quantize(x, fmt, layout)
     name = q.layout.kind + (f"+rht{rht.d}" if rht is not None else "")
     return replace(tensor_report(x, q), layout=name)
 

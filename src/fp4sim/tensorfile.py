@@ -46,7 +46,7 @@ from .blockquant import (
     QuantizedTensor,
     ScaleCodeError,
     ScalingLayout,
-    block_decompose,
+    _block_map,
     check_layout,
     check_tensor_scale,
 )
@@ -214,7 +214,7 @@ def read_tensor(path: str) -> np.ndarray | QuantizedTensor:
             raise TensorFileError(
                 f"{fmt.name} carries no tensor-level scale; offset 28 holds "
                 f"{s_dec!r}")
-        bm = block_decompose((rows, cols), layout)
+        bm = _block_map((rows, cols), layout)
         n_codes = (bm.padded_shape[0] * bm.padded_shape[1] + 1) // 2
         _check_payload_length(f, n_codes + bm.n_blocks, "quantized")
         packed = _payload_array(n_codes, np.uint8)

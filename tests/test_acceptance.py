@@ -17,14 +17,12 @@ from fp4sim.blockquant import (
     dequantize,
     encode_multipliers,
     quantize,
-    quantize_mxfp4,
-    quantize_nvfp4,
     rows1d,
     square2d,
 )
 from fp4sim.codecs import E2M1_GRID, Stochastic, decode_e2m1, encode_e2m1, sr_round
 from fp4sim.gemm import scaled_gemm
-from fp4sim.hadamard import HadamardSpec, build_hadamard, rht_pair_identity_check
+from fp4sim.hadamard import HadamardSpec, build_hadamard, rht_pair
 from fp4sim.harness import (
     VARIANTS,
     config_digest,
@@ -83,7 +81,7 @@ def test_criterion_01():
 def test_criterion_02():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((1000, 160)) * np.exp(rng.normal(0, 2, (1000, 1)))
-    q = quantize_nvfp4(x, rows1d(16))
+    q = quantize(x, NVFP4, rows1d(16))
     assert q.block_map.n_blocks == 10000
     enc = encode_multipliers(q)
     nz = q.scale_values() > 0
@@ -92,7 +90,7 @@ def test_criterion_02():
     assert product.max() <= 1 + E4M3_EPS * 1.01
     for _ in range(20):
         t = rng.standard_normal((32, 32)) * 10 ** rng.uniform(-3, 3)
-        qt = quantize_nvfp4(t, rows1d(16))
+        qt = quantize(t, NVFP4, rows1d(16))
         amax = np.abs(t).max()
         assert abs(np.abs(dequantize(qt)).max() - amax) / amax <= E4M3_EPS * 1.01
 
@@ -102,7 +100,7 @@ def test_criterion_03():
     x = np.zeros((1, 32))
     x[0, 0] = 3.01
     x[0, 1:4] = [0.5, 1.0, 2.0]
-    q = quantize_mxfp4(x, rows1d(32))
+    q = quantize(x, MXFP4, rows1d(32))
     deq = dequantize(q)
     assert q.scale_values()[0] == 1.0
     assert deq[0, 0] == 3.0
@@ -112,7 +110,7 @@ def test_criterion_03():
     from fp4sim.blockquant import _pad
     for _ in range(20):
         t = rng.standard_normal((32, 64)) * np.exp(rng.normal(0, 4, (32, 1)))
-        qt = quantize_mxfp4(t, rows1d(32))
+        qt = quantize(t, MXFP4, rows1d(32))
         bm = qt.block_map
         scaled = np.abs(_to_blocks(_pad(t, bm), bm)) \
             * encode_multipliers(qt).reshape(-1)[:, None]
@@ -146,7 +144,8 @@ def test_criterion_05():
     a = rng.standard_normal((64, 64))
     b = rng.standard_normal((64, 64))
     spec = HadamardSpec(d=16, sign_seed=0, randomized=True)
-    assert rht_pair_identity_check(a, b, spec) < 1e-8
+    ta, tb = rht_pair(a, b, spec)
+    assert np.abs(ta @ tb - a @ b).max() < 1e-8
 
 
 @criterion(6, "square weight tiles close the forward/backward weight gap")

@@ -19,8 +19,6 @@ from fp4sim.blockquant import (
     global_encode_scale,
     nvfp4_block_scales,
     quantize,
-    quantize_mxfp4,
-    quantize_nvfp4,
     rows1d,
     square2d,
 )
@@ -96,7 +94,7 @@ def test_nvfp4_block_scales_full_range_block():
 
 def test_nvfp4_hand_block():
     x = np.array([[6.0, 3.0, 1.5, 0.75] + [0.0] * 12])
-    q = quantize_nvfp4(x, rows1d(16))
+    q = quantize(x, NVFP4, rows1d(16))
     # 0.75 ties between 0.5 and 1.0; nearest-even takes 1.0
     assert list(q.codes[0, :4]) == [7, 5, 3, 2]
     assert not q.codes[0, 4:].any()
@@ -115,7 +113,7 @@ def test_all_zero_tensor():
 def test_zero_block_inside_nonzero_tensor():
     x = np.zeros((1, 32))
     x[0, :16] = [1.0] * 16
-    q = quantize_nvfp4(x, rows1d(16))
+    q = quantize(x, NVFP4, rows1d(16))
     # all-zero block stores the smallest positive scale code, codes stay zero
     assert q.scale_codes[0, 1] == E4M3_SMALLEST_POSITIVE_CODE
     assert not q.codes[0, 16:].any()
@@ -126,7 +124,7 @@ def test_scale_underflow_zeroes_block():
     # a block so far below the tensor amax that its E4M3 scale underflows
     x = np.ones((1, 32))
     x[0, 16:] = 1e-12
-    q = quantize_nvfp4(x, rows1d(16))
+    q = quantize(x, NVFP4, rows1d(16))
     assert not q.codes[0, 16:].any()
     assert np.array_equal(dequantize(q)[0, 16:], np.zeros(16))
 
@@ -134,7 +132,7 @@ def test_scale_underflow_zeroes_block():
 def test_two_level_scale_identity():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((64, 64)) * np.exp(rng.normal(0, 2, (64, 1)))
-    q = quantize_nvfp4(x, rows1d(16))
+    q = quantize(x, NVFP4, rows1d(16))
     enc = encode_multipliers(q)
     nz = q.scale_values() > 0
     product = enc[nz] * q.global_decode_scale * q.scale_values()[nz]
@@ -146,7 +144,7 @@ def test_nvfp4_amax_fidelity():
     rng = np.random.default_rng(4)
     for _ in range(20):
         x = rng.standard_normal((32, 32)) * 10 ** rng.uniform(-3, 3)
-        q = quantize_nvfp4(x, rows1d(16))
+        q = quantize(x, NVFP4, rows1d(16))
         amax = np.abs(x).max()
         deq_amax = np.abs(dequantize(q)).max()
         assert abs(deq_amax - amax) / amax <= E4M3_EPS * 1.01
@@ -158,7 +156,7 @@ def test_mxfp4_binade_loss_fixture():
     x = np.zeros((1, 32))
     x[0, 0] = 3.01
     x[0, 1:4] = [0.5, 1.0, 2.0]
-    q = quantize_mxfp4(x, rows1d(32))
+    q = quantize(x, MXFP4, rows1d(32))
     # round-up scale is 1.0; the amax lands on 3 and ±4/±6 are unreachable
     assert q.scale_values()[0] == 1.0
     assert dequantize(q)[0, 0] == 3.0
@@ -170,7 +168,7 @@ def test_mxfp4_binade_loss_fixture():
 def test_mxfp4_power_of_two_amax_survives():
     x = np.zeros((1, 32))
     x[0, 5] = 6.0
-    q = quantize_mxfp4(x, rows1d(32))
+    q = quantize(x, MXFP4, rows1d(32))
     assert q.scale_values()[0] == 1.0
     assert dequantize(q)[0, 5] == 6.0
 
@@ -188,7 +186,7 @@ def test_mxfp4_never_saturates():
     rng = np.random.default_rng(5)
     for _ in range(20):
         x = rng.standard_normal((32, 64)) * np.exp(rng.normal(0, 4, (32, 1)))
-        q = quantize_mxfp4(x, rows1d(32))
+        q = quantize(x, MXFP4, rows1d(32))
         enc = encode_multipliers(q)
         bm = q.block_map
         from fp4sim.blockquant import _pad
@@ -199,14 +197,14 @@ def test_mxfp4_never_saturates():
 
 def test_mxfp4_rejects_wrong_layouts():
     with pytest.raises(LayoutError):
-        quantize_mxfp4(np.ones((4, 32)), rows1d(16))
+        quantize(np.ones((4, 32)), MXFP4, rows1d(16))
     with pytest.raises(LayoutError):
-        quantize_mxfp4(np.ones((32, 32)), square2d())
+        quantize(np.ones((32, 32)), MXFP4, square2d())
 
 
 def test_nvfp4_rejects_wrong_block_length():
     with pytest.raises(LayoutError):
-        quantize_nvfp4(np.ones((4, 32)), rows1d(32))
+        quantize(np.ones((4, 32)), NVFP4, rows1d(32))
 
 
 # --- round trips -------------------------------------------------------------
@@ -223,21 +221,21 @@ def _representable(rng, shape, block, scales):
 def test_representable_round_trip_nvfp4():
     rng = np.random.default_rng(6)
     x = _representable(rng, (16, 64), 16, [0.25, 0.5, 1.0, 2.0])
-    q = quantize_nvfp4(x, rows1d(16))
+    q = quantize(x, NVFP4, rows1d(16))
     assert np.array_equal(dequantize(q), x)
 
 
 def test_representable_round_trip_mxfp4():
     rng = np.random.default_rng(7)
     x = _representable(rng, (8, 64), 32, [0.5, 1.0, 4.0])
-    q = quantize_mxfp4(x, rows1d(32))
+    q = quantize(x, MXFP4, rows1d(32))
     assert np.array_equal(dequantize(q), x)
 
 
 def test_square2d_one_scale_per_tile():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((32, 32))
-    q = quantize_nvfp4(x, square2d())
+    q = quantize(x, NVFP4, square2d())
     assert q.scale_codes.shape == (2, 2)
     # every element of a tile shares the tile scale: dequantized column reads
     # equal dequantized row reads of the same data
@@ -248,8 +246,8 @@ def test_square2d_one_scale_per_tile():
 def test_cols_layout_matches_transposed_rows():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((32, 48))
-    qc = quantize_nvfp4(x, cols1d(16))
-    qr = quantize_nvfp4(x.T, rows1d(16))
+    qc = quantize(x, NVFP4, cols1d(16))
+    qr = quantize(x.T, NVFP4, rows1d(16))
     assert np.array_equal(dequantize(qc), dequantize(qr).T)
 
 
@@ -295,9 +293,9 @@ def test_nvfp4_elementwise_error_bound(x):
     amax = np.abs(x).max()
     if 0 < amax < MIN_AMAX:
         with pytest.raises(ScaleRangeError):
-            quantize_nvfp4(x, rows1d(16))
+            quantize(x, NVFP4, rows1d(16))
         return
-    q = quantize_nvfp4(x, rows1d(16))
+    q = quantize(x, NVFP4, rows1d(16))
     deq = dequantize(q).reshape(4, 2, 16)
     err = np.abs(deq - x.reshape(4, 2, 16)).max(axis=2)
     b = np.abs(x.reshape(4, 2, 16)).max(axis=2)
@@ -314,10 +312,10 @@ def test_nvfp4_min_amax_precondition():
     assert NVFP4_MIN_AMAX == MIN_AMAX
     x = np.array([[3e-303] + [0.0] * 31])
     with pytest.raises(ScaleRangeError, match="scale range"):
-        quantize_nvfp4(x, rows1d(16))
+        quantize(x, NVFP4, rows1d(16))
     # at the minimum an all-zero block still encodes
     x[0, 0] = MIN_AMAX
-    q = quantize_nvfp4(x, rows1d(16))
+    q = quantize(x, NVFP4, rows1d(16))
     assert dequantize(q)[0, 0] == MIN_AMAX and not dequantize(q)[0, 1:].any()
 
 
@@ -326,7 +324,7 @@ def test_nvfp4_min_amax_precondition():
               elements=st.floats(min_value=-100, max_value=100, width=64)))
 @example(np.full((2, 32), 1e-40))  # flushes to zero: an error of 1.0 * amax_b
 def test_mxfp4_elementwise_error_bound(x):
-    q = quantize_mxfp4(x, rows1d(32))
+    q = quantize(x, MXFP4, rows1d(32))
     deq = dequantize(q)
     amax_b = np.abs(x).max(axis=1, keepdims=True)
     # round-up scaling can waste a binade: gaps up to amax/3; under the
@@ -339,7 +337,7 @@ def test_mxfp4_subnormal_block_flushes_to_zero():
     # amax_b / 6 underflows to zero here; the scale still clamps to 2^-127
     x = np.full((2, 32), 5e-324)
     x[1] = 1.0
-    q = quantize_mxfp4(x, rows1d(32))
+    q = quantize(x, MXFP4, rows1d(32))
     assert q.scale_codes[0, 0] == 0
     deq = dequantize(q)
     assert not deq[0].any() and np.array_equal(deq[1], x[1])
@@ -374,17 +372,17 @@ def test_single_multiply_at_extreme_magnitudes(x):
     for mode in (NEAREST, Stochastic(("extreme-magnitudes",))):
         if amax / 6 > 2.0 ** 127:
             with pytest.raises(ScaleRangeError):
-                quantize_mxfp4(x, rows1d(32), mode)
+                quantize(x, MXFP4, rows1d(32), mode)
         else:
-            q = quantize_mxfp4(x, rows1d(32), mode)
-            want = codecs._encode_e2m1(x / decode_ue8m0(q.scale_codes), mode, None)
+            q = quantize(x, MXFP4, rows1d(32), mode)
+            want = codecs._encode_e2m1(x / decode_ue8m0(q.scale_codes), mode)
             assert np.array_equal(q.codes, want)
             assert _encodes_with_its_multipliers(x, q, mode)
         if amax < NVFP4_MIN_AMAX:
             with pytest.raises(ScaleRangeError):
-                quantize_nvfp4(x, rows1d(16), mode)
+                quantize(x, NVFP4, rows1d(16), mode)
         else:
-            q = quantize_nvfp4(x, rows1d(16), mode)
+            q = quantize(x, NVFP4, rows1d(16), mode)
             assert _encodes_with_its_multipliers(x, q, mode)
 
 
@@ -392,7 +390,7 @@ def _encodes_with_its_multipliers(x, q, mode):
     """x times encode_multipliers(q), each row block's multiplier repeated
     over its block, encodes in mode to q's codes bit for bit."""
     enc = np.repeat(encode_multipliers(q), q.layout.block_len, axis=1)
-    return np.array_equal(codecs._encode_e2m1(x * enc, mode, None), q.codes)
+    return np.array_equal(codecs._encode_e2m1(x * enc, mode), q.codes)
 
 
 def test_format_repr_has_no_function_address():
@@ -405,7 +403,7 @@ def test_quantize_rejects_nonfinite():
     bad = np.ones((2, 16))
     bad[1, 3] = np.inf
     with pytest.raises(NonFiniteInputError):
-        quantize_nvfp4(bad)
+        quantize(bad, NVFP4)
 
 
 def test_quantize_nonfinite_message_names_flat_index():
@@ -413,9 +411,9 @@ def test_quantize_nonfinite_message_names_flat_index():
     bad[1, 3] = -np.inf
     with pytest.raises(NonFiniteInputError,
                        match="^non-finite value at flat index 19: -inf$"):
-        quantize_nvfp4(bad)
+        quantize(bad, NVFP4)
     with pytest.raises(NonFiniteInputError, match="flat index 35: -inf$"):
-        quantize_mxfp4(np.pad(bad, ((0, 0), (0, 16))))
+        quantize(np.pad(bad, ((0, 0), (0, 16))), MXFP4)
 
 
 @pytest.mark.parametrize("fmt, layout", [(NVFP4, cols1d(16)), (NVFP4, square2d()),
@@ -467,8 +465,8 @@ def test_unscaled_values_cached_read_only_and_exact(fmt, layout):
 # --- QuantizedTensor validation ------------------------------------------------
 
 def _valid_q():
-    return quantize_nvfp4(np.random.default_rng(0).standard_normal((16, 16)),
-                          rows1d(16))
+    return quantize(np.random.default_rng(0).standard_normal((16, 16)), NVFP4,
+                    rows1d(16))
 
 
 def test_quantized_tensor_shape_checks():
@@ -485,14 +483,14 @@ def test_quantized_tensor_scale_presence():
     q = _valid_q()
     with pytest.raises(QuantizationError):
         QuantizedTensor(q.shape, q.codes, q.scale_codes, q.layout, NVFP4, None)
-    qm = quantize_mxfp4(np.ones((2, 32)), rows1d(32))
+    qm = quantize(np.ones((2, 32)), MXFP4, rows1d(32))
     with pytest.raises(QuantizationError):
         QuantizedTensor(qm.shape, qm.codes, qm.scale_codes, qm.layout,
                         MXFP4, 1.0)
 
 
 def test_quantized_tensor_layout_format_coupling():
-    qm = quantize_mxfp4(np.ones((2, 32)), rows1d(32))
+    qm = quantize(np.ones((2, 32)), MXFP4, rows1d(32))
     with pytest.raises(LayoutError):
         QuantizedTensor(qm.shape, qm.codes, qm.scale_codes, rows1d(16),
                         MXFP4, None)

@@ -104,19 +104,33 @@ def _to_blocks(xp, bm):
               .reshape(bm.n_blocks, br * bc))
 
 
+def _oracle_sums(x, err, total):
+    """total(x) and total(err), sums of squares.  Where either is not a
+    finite normal number, both are taken again of x and err times the
+    power of two that brings max|x| into [0.5, 1), at most 2^1023."""
+    sums = total(x), total(err)
+    if all(np.finfo(np.float64).tiny <= v <= np.finfo(np.float64).max for v in sums):
+        return sums
+    s = np.ldexp(1.0, min(-int(np.frexp(np.abs(x).max())[1]), 1023))
+    return total(x * s), total(err * s)
+
+
 def _oracle_stats(x, q):
-    """quantization_stats as it was: every field from full-size passes."""
+    """quantization_stats as it was: every field from full-size passes,
+    with sums of squares out of the normal range taken again of scaled
+    operands (_oracle_sums)."""
     x = np.asarray(x, dtype=np.float64)
     deq = dequantize(q)
     err = x - deq
-    sig = float(np.sum(x * x))
-    noise = float(np.sum(err * err))
+    sig, noise = _oracle_sums(x, err, lambda a: float(np.sum(a * a)))
     sqnr = (None if sig == 0.0 else float("inf") if noise == 0.0
             else float(10.0 * np.log10(sig / noise)))
     nz = x != 0
     rel = np.divide(err, x, out=np.zeros_like(x), where=nz)
     max_rel = float(np.abs(rel, out=rel).max())
-    rel_fro = float(np.linalg.norm(err) / np.linalg.norm(x)) if sig else 0.0
+    # the squared np.linalg.norm before its root: a dot product in memory order
+    sq_x, sq_err = _oracle_sums(x, err, lambda a: np.dot(a.ravel("K"), a.ravel("K")))
+    rel_fro = float(np.sqrt(sq_err) / np.sqrt(sq_x)) if sq_x else 0.0
     bm = q.block_map
     blocks = _to_blocks(_pad(x, bm), bm)
     scaled = blocks * encode_multipliers(q).reshape(-1)[:, None]
@@ -197,7 +211,7 @@ def _same(got, want):
 @given(_arrays(_codec_values), st.sampled_from(_LAYOUTS))
 def test_encoders_match_oracles_in_bytes_and_layout(a, layout):
     x = _with_layout(a, layout)
-    _same(codecs._encode_e2m1(x, NEAREST, None), _oracle_encode_e2m1(x, NEAREST, None))
+    _same(codecs._encode_e2m1(x, NEAREST), _oracle_encode_e2m1(x, NEAREST, None))
     _same(codecs.encode_e2m1(x), _oracle_encode_e2m1(x, NEAREST, None))
     _same(codecs._encode_e4m3(x), _oracle_encode_e4m3(x))
     _same(codecs.encode_e4m3(x), _oracle_encode_e4m3(x))
@@ -205,17 +219,12 @@ def test_encoders_match_oracles_in_bytes_and_layout(a, layout):
 
 @settings(max_examples=200, deadline=None)
 @given(_arrays(_codec_values), st.sampled_from(_LAYOUTS),
-       st.sampled_from([None, "C", "F"]), st.integers(0, 3))
-def test_sr_round_matches_oracle_in_bytes_and_layout(a, layout, counter_layout, seed):
+       st.integers(0, 3))
+def test_sr_round_matches_oracle_in_bytes_and_layout(a, layout, seed):
     x = _with_layout(a, layout)
     stream = Stochastic(("sr-oracle", seed))
-    counters = None
-    if counter_layout is not None:
-        perm = np.random.default_rng(seed).permutation(x.size).reshape(x.shape)
-        counters = _with_layout(perm, counter_layout)
-    _same(codecs.sr_round(x, stream, counters), _oracle_sr_round(x, stream, counters))
-    _same(codecs._encode_e2m1(x, stream, counters),
-          _oracle_encode_e2m1(x, stream, counters))
+    _same(codecs.sr_round(x, stream), _oracle_sr_round(x, stream))
+    _same(codecs._encode_e2m1(x, stream), _oracle_encode_e2m1(x, stream, None))
 
 
 def test_codecs_keep_scalar_and_empty_results():
@@ -231,7 +240,7 @@ def test_codecs_span_many_chunks():
     a = rng.standard_normal((300, 257)) * rng.lognormal(0.0, 3.0, (300, 1))
     stream = Stochastic(("sr-oracle-chunks",))
     for x in (a, np.asfortranarray(a), a[::-1, 1::2]):
-        _same(codecs._encode_e2m1(x, NEAREST, None), _oracle_encode_e2m1(x, NEAREST, None))
+        _same(codecs._encode_e2m1(x, NEAREST), _oracle_encode_e2m1(x, NEAREST, None))
         _same(codecs._encode_e4m3(x), _oracle_encode_e4m3(x))
         _same(codecs.sr_round(x, stream), _oracle_sr_round(x, stream))
 
@@ -242,7 +251,7 @@ def test_sr_codes_of_every_grid_value():
     grid = np.append(E2M1_GRID, -0.0)
     want = _oracle_encode_e2m1(grid, NEAREST, None)
     _same(codecs._GRID_CODES[(grid.view(np.uint64) >> 51).astype(np.intp)], want)
-    _same(codecs._encode_e2m1(grid, Stochastic(("grid-codes",)), None), want)
+    _same(codecs._encode_e2m1(grid, Stochastic(("grid-codes",))), want)
 
 
 def test_e4m3_every_code_and_midpoint():
@@ -278,7 +287,10 @@ _stats_values = st.one_of(st.sampled_from([v for v in _SPECIAL if abs(v) < 1e3])
 
 
 def _quantize_with_oracles(x, fmt, layout, mode):
-    with mock.patch.object(blockquant, "_encode_e2m1", _oracle_encode_e2m1), \
+    def encode_e2m1(x, mode):
+        return _oracle_encode_e2m1(x, mode, None)
+
+    with mock.patch.object(blockquant, "_encode_e2m1", encode_e2m1), \
             mock.patch.object(blockquant, "_encode_e4m3", _oracle_encode_e4m3):
         return quantize(x, fmt, layout, mode)
 
@@ -291,6 +303,9 @@ def _quantize_with_oracles(x, fmt, layout, mode):
                       0.2, 4.4, -0.05, 8.0, 2.2, -3.3]] * 3)
          * np.array([[1.0], [3.7], [-0.011]]),
          layout="F", pair="nv_rows", sr=False)
+# the smallest normal flushes to zero in mxfp4: its sums of squares
+# underflow and are taken again of scaled operands
+@example(a=np.array([[-2.2250738585072014e-308]]), layout="C", pair="mx_cols", sr=False)
 @settings(max_examples=200, deadline=None)
 @given(_arrays(_stats_values, max_rows=40, max_cols=70), st.sampled_from(_LAYOUTS),
        st.sampled_from(sorted(_PAIRS)), st.booleans())

@@ -72,6 +72,22 @@ def test_trace_path_computes_no_report_only_fields(monkeypatch):
         "rel_fro_error", "saturated", "underflow_to_zero"]
 
 
+@pytest.mark.parametrize("power", [520, -560])
+def test_stats_hold_at_extreme_magnitudes(power):
+    # nvfp4 quantization commutes with scaling by a power of two, so the
+    # stats of x * 2^power are those of x, bit for bit, although sums of
+    # squares of the scaled x and its error overflow or underflow
+    def four_fields(x):
+        report = tensor_report(x, quantize(x, NVFP4))
+        return [report.rel_fro_error, report.sqnr_db, report.saturated,
+                report.underflow_to_zero]
+
+    x = np.random.default_rng(0).standard_normal((64, 64))
+    want = four_fields(x)
+    got = four_fields(x * 2.0 ** power)
+    assert repr(got) == repr(want)  # a float's repr round-trips its bits
+
+
 def test_analyze_json_output_is_pinned(tmp_path, capsys):
     # sha256 of `fp4sim analyze --rht-d 16 --json` on a heavy-tailed 64 x 200
     # tensor, whose 200 columns pad to both block lengths and to the

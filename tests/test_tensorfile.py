@@ -4,6 +4,7 @@ of malformed files."""
 import os
 import re
 import struct
+import sys
 import tempfile
 import threading
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fp4sim import blockquant
 from fp4sim.blockquant import MXFP4, NVFP4, cols1d, dequantize, quantize, rows1d, square2d
 from fp4sim.tensorfile import MAGIC, TensorFileError, read_tensor, write_tensor
 
@@ -29,6 +31,30 @@ def test_wide_round_trip_bitwise(tmp_path):
     back = read_tensor(p)
     assert isinstance(back, np.ndarray)
     assert back.tobytes() == x.tobytes()  # bit-identical, NaN included
+
+
+def test_reading_a_container_builds_no_block_map(tmp_path, monkeypatch):
+    # The reader sizes the payload from the cached block map that the
+    # tensor it returns looks up again; quantize has cached this one.
+    # block_decompose is counted wherever a module binds that name.
+    q = quantize(np.random.default_rng(0).standard_normal((40, 72)), NVFP4, cols1d(16))
+    p = str(tmp_path / "q.fp4t")
+    write_tensor(p, q)
+    original, calls = blockquant.block_decompose, []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "fp4sim" or name.startswith("fp4sim."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    back = read_tensor(p)
+    assert calls == []
+    assert np.array_equal(back.codes, q.codes)
+    assert back.block_map is q.block_map
 
 
 @pytest.mark.parametrize("fmt,layout", [
