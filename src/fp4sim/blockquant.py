@@ -88,7 +88,7 @@ from .codecs import (
     decode_ue8m0,
     encode_ue8m0_roundup,
 )
-from .rng import _CHUNK
+from .rng import _CHUNK, _row_chunks
 
 
 class LayoutError(QuantizationError):
@@ -354,15 +354,6 @@ def _check_input(x) -> np.ndarray:
     if x.ndim != 2:
         raise LayoutError("block quantization expects a 2-D tensor")
     return x
-
-
-def _row_chunks(a: np.ndarray) -> list[slice]:
-    """Slices of a's first axis, each about _CHUNK elements (at least one
-    index), so a chunk and its temporaries stay in a core's L2 cache."""
-    if a.size <= _CHUNK:
-        return [slice(None)]
-    step = max(1, _CHUNK // max(1, a[:1].size))
-    return [slice(i, i + step) for i in range(0, a.shape[0], step)]
 
 
 def _block_amax(x: np.ndarray, xp: np.ndarray, bm: BlockMap) -> np.ndarray:

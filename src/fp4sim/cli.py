@@ -138,8 +138,12 @@ def _cmd_analyze(args) -> int:
         if args.rht:
             reports.append(analyze_tensor(x, fmt, layout, rht=args.rht))
     if args.json:
-        print(json.dumps({"reports": [r.to_dict() for r in reports]},
-                         sort_keys=True, indent=2))
+        docs = [r.to_dict() for r in reports]
+        for d in docs:
+            if d["sqnr_db"] == float("inf"):  # exact; JSON has no infinity
+                d["sqnr_db"] = "inf"
+        print(json.dumps({"reports": docs}, sort_keys=True, indent=2,
+                         allow_nan=False))
     else:
         print(format_report_table(reports))
     return EXIT_OK

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import _CHUNK, positions_in_order, stream_key, uniforms_at
+from .rng import _row_chunks, stream_key, uniforms_at
 
 
 class QuantizationError(ValueError):
@@ -98,44 +98,6 @@ def check_finite(x: np.ndarray, where: str = "") -> None:
                                   f"{float(x.reshape(-1)[i])!r}")
 
 
-def _chunks(operands: list, dtypes: list):
-    """Iterator over 1-D chunks of at most _CHUNK elements, in the memory
-    order of the inputs; a None operand is an output that numpy allocates
-    with the layout an element-wise ufunc over the inputs would give.
-
-    C-contiguous inputs of one shape and of the given dtypes that fit in
-    one chunk are that chunk: their outputs are C-ordered, as the nditer
-    would allocate them, and the nditer's set-up cost is skipped."""
-    inputs = [(op, dt) for op, dt in zip(operands, dtypes) if op is not None]
-    shape = inputs[0][0].shape
-    if all(op.shape == shape and op.dtype == dt and op.flags.c_contiguous
-           for op, dt in inputs) and inputs[0][0].size <= _CHUNK:
-        return _OneChunk([op if op is not None else np.empty(shape, dt)
-                          for op, dt in zip(operands, dtypes)])
-    flags = [["readonly"] if op is not None else ["writeonly", "allocate"]
-             for op in operands]
-    return np.nditer(operands, flags=["external_loop", "buffered", "zerosize_ok"],
-                     op_flags=flags, op_dtypes=dtypes, order="K",
-                     buffersize=_CHUNK)
-
-
-class _OneChunk:
-    """The part of the nditer interface that _chunks' callers use, for
-    operands that are one chunk."""
-
-    def __init__(self, operands: list):
-        self.operands = operands
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        return None
-
-    def __iter__(self):
-        yield tuple(op.reshape(-1) for op in self.operands)
-
-
 def encode_e2m1(x, mode: RoundingMode = NEAREST) -> np.ndarray:
     """Map values to 4-bit codes.
 
@@ -151,7 +113,8 @@ def encode_e2m1(x, mode: RoundingMode = NEAREST) -> np.ndarray:
 
 def _encode_e2m1(x: np.ndarray, mode: RoundingMode) -> np.ndarray:
     """encode_e2m1 of a float64 array the caller has checked to be finite;
-    only sr_round checks again.  The codes keep x's memory layout.
+    only sr_round checks again.  The codes keep the memory layout of the
+    values encoded, walked flat: x's under nearest-even, sr_round's C order.
 
     Nearest-even codes are one gather from the bucket table _E2M1_CODES
     over buckets of top 14 bits, at k(b) + k(b - 1): the tie flag in that
@@ -163,15 +126,18 @@ def _encode_e2m1(x: np.ndarray, mode: RoundingMode) -> np.ndarray:
     stochastic = isinstance(mode, Stochastic)
     if stochastic:
         x = sr_round(x, mode)
-    with _chunks([x, None], [np.float64, np.uint8]) as it:
-        for xs, codes in it:
-            if stochastic:
-                key = (xs.view(np.uint64) >> 51).view(np.int64)
-                np.take(_GRID_CODES, key, out=codes, mode="clip")
-            else:
-                _bucket_codes(_E2M1_CODES, xs, out=codes)
-        out = it.operands[1]
-    return out if out.ndim else out[()]
+    elif not (x.flags.c_contiguous or x.flags.f_contiguous):
+        # a copy in x's memory order, so the flat walk below reads a view
+        x = x.copy(order="K")
+    codes = np.empty_like(x, dtype=np.uint8)
+    flat, out = x.ravel(order="K"), codes.ravel(order="K")
+    for s in _row_chunks(flat):
+        if stochastic:
+            key = (flat[s].view(np.uint64) >> 51).view(np.int64)
+            np.take(_GRID_CODES, key, out=out[s], mode="clip")
+        else:
+            _bucket_codes(_E2M1_CODES, flat[s], out=out[s])
+    return codes if codes.ndim else codes[()]
 
 
 def _e2m1_walk(x: np.ndarray) -> np.ndarray:
@@ -250,17 +216,22 @@ def _grid_codes() -> np.ndarray:
 _GRID_CODES = _grid_codes()
 
 
+def _gather(table: np.ndarray, codes, what: str) -> np.ndarray:
+    """table.take(codes); a negative code or one past the table's end
+    raises InvalidCodeError(what).  Unsigned codes need no min pass."""
+    codes = np.asarray(codes)
+    if codes.dtype.kind == "u" or codes.size == 0 or codes.min() >= 0:
+        try:
+            return table.take(codes)
+        except IndexError:
+            pass
+    raise InvalidCodeError(what)
+
+
 def decode_e2m1(codes) -> np.ndarray:
     """Decode 4-bit E2M1 codes by one gather; any other integer raises
     InvalidCodeError."""
-    codes = np.asarray(codes)
-    # take rejects codes above 15, and unsigned codes need no min pass
-    if not (codes.dtype.kind == "u" or codes.size == 0 or codes.min() >= 0):
-        raise InvalidCodeError("E2M1 codes must be 4-bit patterns")
-    try:
-        return E2M1_VALUES.take(codes)
-    except IndexError:
-        raise InvalidCodeError("E2M1 codes must be 4-bit patterns") from None
+    return _gather(E2M1_VALUES, codes, "E2M1 codes must be 4-bit patterns")
 
 
 def _sr_brackets() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -294,26 +265,30 @@ _SR_LO, _SR_HI, _SR_INV_GAP = _sr_brackets()
 
 
 def sr_round(x, stream: Stochastic) -> np.ndarray:
-    """Stochastic rounding onto the signed E2M1 grid; returns grid values.
+    """Stochastic rounding onto the signed E2M1 grid; returns grid values,
+    C-ordered whatever the layout of x.
 
     Bracket x between adjacent grid points lo <= x <= hi and pick hi with
     probability (x - lo) / (hi - lo), so the expectation equals x.  Exact
     grid points are returned unchanged; magnitudes beyond 6 clamp first.
     The element at row-major position i in x consumes the stream's uniform
-    at position i.
+    at position i, drawn a chunk of the flat tensor at a time.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64, order="C")
     check_finite(x)
-    u = uniforms_at(stream.key(), positions_in_order(x.shape))
-    with _chunks([u, x, None], [np.float64] * 3) as it:
-        for us, xs, out in it:
-            # a logical shift, then int64 so the gathers need no cast
-            key = (xs.view(np.uint64) >> 51).view(np.int64)
-            lo = _SR_LO.take(key, mode="clip")
-            p_hi = xs - lo
-            p_hi *= _SR_INV_GAP.take(key, mode="clip")
-            out[...] = np.where(us < p_hi, _SR_HI.take(key, mode="clip"), lo)
-        return it.operands[2]
+    key = stream.key()
+    out = np.empty(x.shape)
+    flat, rounded = x.reshape(-1), out.reshape(-1)
+    for s in _row_chunks(flat):
+        xs = flat[s]
+        # a logical shift, then int64 so the gathers need no cast
+        bucket = (xs.view(np.uint64) >> 51).view(np.int64)
+        lo = _SR_LO.take(bucket, mode="clip")
+        p_hi = xs - lo
+        p_hi *= _SR_INV_GAP.take(bucket, mode="clip")
+        u = uniforms_at(key, range(x.size)[s])
+        rounded[s] = np.where(u < p_hi, _SR_HI.take(bucket, mode="clip"), lo)
+    return out
 
 
 # --- E4M3 ------------------------------------------------------------------
@@ -369,9 +344,10 @@ def _encode_e4m3(x: np.ndarray) -> np.ndarray:
 
 
 def decode_e4m3(codes) -> np.ndarray:
-    """Decode E4M3 codes; the NaN patterns (0x7F / 0xFF) are rejected
-    because a NaN block scale can never be produced by the encoder."""
-    values = E4M3_VALUES.take(np.asarray(codes))
+    """Decode E4M3 codes; a code outside 0..255 raises InvalidCodeError, and
+    so do the NaN patterns (0x7F / 0xFF), because a NaN block scale can
+    never be produced by the encoder."""
+    values = _gather(E4M3_VALUES, codes, "E4M3 codes must be 8-bit patterns")
     if values.size and np.isnan(values.max()):  # a NaN max is a NaN
         raise InvalidCodeError("E4M3 NaN code cannot be decoded as a scale")
     return values
@@ -396,6 +372,12 @@ def encode_ue8m0_roundup(x) -> np.ndarray:
     return (exp + 127).astype(np.uint8)
 
 
+_UE8M0_VALUES = np.ldexp(1.0, np.arange(255) - 127)
+_UE8M0_VALUES.setflags(write=False)
+
+
 def decode_ue8m0(codes) -> np.ndarray:
-    codes = np.asarray(codes)
-    return np.ldexp(1.0, codes.astype(np.int64) - 127)
+    """Decode UE8M0 codes, 2^(code - 127), by one gather; a code outside
+    0..254 raises InvalidCodeError, 0xFF because it is NaN in OCP MX v1.0."""
+    return _gather(_UE8M0_VALUES, codes,
+                   "UE8M0 codes must be 8-bit patterns other than 0xFF (NaN)")

@@ -71,22 +71,22 @@ def scaled_gemm(qa: QuantizedTensor, qb: QuantizedTensor) -> np.ndarray:
     return out
 
 
-def _lowest_bit_table(values: np.ndarray, limit: int) -> np.ndarray:
-    """The lowest set bit of every scale code's decoded value, and inf for
-    a zero scale or a code at or above limit (one the encoders never
-    write); read-only."""
+def _lowest_bit_table(values: np.ndarray) -> np.ndarray:
+    """The lowest set bit of the decoded values of the scale codes below
+    len(values), and inf for a zero scale or a code from len(values) on
+    (one the encoders never write); read-only."""
     table = np.full(256, np.inf)
-    ok = (np.arange(256) < limit) & (values > 0)
+    ok = values > 0
     mant, exp = np.frexp(values[ok])
     ints = (mant * 2.0 ** 53).astype(np.int64)
-    table[ok] = np.ldexp(ints & -ints, exp - 53)
+    table[:len(values)][ok] = np.ldexp(ints & -ints, exp - 53)
     table.setflags(write=False)
     return table
 
 
 _LOWEST_BIT = {
-    "e4m3": _lowest_bit_table(E4M3_VALUES, SCALE_CODE_LIMIT["e4m3"]),
-    "ue8m0": _lowest_bit_table(decode_ue8m0(np.arange(256)), SCALE_CODE_LIMIT["ue8m0"]),
+    "e4m3": _lowest_bit_table(E4M3_VALUES[:SCALE_CODE_LIMIT["e4m3"]]),
+    "ue8m0": _lowest_bit_table(decode_ue8m0(np.arange(SCALE_CODE_LIMIT["ue8m0"]))),
 }
 
 

@@ -26,7 +26,6 @@ from .blockquant import (
     QuantizedTensor,
     ScalingLayout,
     _pad,
-    _row_chunks,
     dequantize,
     encode_multipliers,
     quantize,
@@ -34,6 +33,7 @@ from .blockquant import (
 )
 from .codecs import E2M1_MAX, E2M1_VALUES
 from .hadamard import HadamardSpec, apply_rht_padded
+from .rng import _row_chunks
 
 
 @dataclass(frozen=True)

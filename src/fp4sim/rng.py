@@ -10,15 +10,17 @@ Each thread draws from one Philox generator of its own, made once.  Every
 call resets its whole state (key, counter, output buffer and the spare
 32-bit half), so a draw depends only on the call's arguments: nothing an
 earlier call drew is carried over, and no thread sees another's state.
+
+The element-wise passes walk a tensor with _row_chunks, here because every
+module can import rng without a cycle.  Stochastic rounding draws the
+stretch of the stream that each chunk covers (uniforms_at of a range), so
+it builds no position array and no full-size uniform array.
 """
 
 from __future__ import annotations
 
-import collections
 import hashlib
-import math
 import threading
-import weakref
 
 import numpy as np
 
@@ -30,17 +32,19 @@ _thread = threading.local()
 _ZEROS = np.zeros(_DRAWS_PER_BLOCK, dtype=np.uint64)
 _ZEROS.setflags(write=False)
 
-# The arrays positions_in_order handed out, by size, while any view of one
-# is alive.
-_IN_ORDER: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 # Elements per chunk of the chunked element-wise loops (the codecs, the
 # block amax and stats passes, the tiled Hadamard transform): a chunk and
 # its temporaries stay in a core's L2 cache.
 _CHUNK = 1 << 15
-# The last few arrays of at most one codec chunk of positions stay alive:
-# stochastic rounding of small tensors asks for the same few sizes, and
-# building one costs about as much as drawing it.
-_KEPT: collections.deque = collections.deque(maxlen=64)
+
+
+def _row_chunks(a: np.ndarray) -> list[slice]:
+    """Slices of a's first axis, each about _CHUNK elements (at least one
+    index), so a chunk and its temporaries stay in a core's L2 cache."""
+    if a.size <= _CHUNK:
+        return [slice(None)]
+    step = max(1, _CHUNK // max(1, a[:1].size))
+    return [slice(i, i + step) for i in range(0, a.shape[0], step)]
 
 
 def stream_key(*parts) -> np.ndarray:
@@ -82,39 +86,18 @@ def uniforms(key: np.ndarray, count: int, start: int = 0) -> np.ndarray:
     return _generator(key, block).random(offset + int(count))[offset:]
 
 
-def positions_in_order(shape: tuple[int, ...]) -> np.ndarray:
-    """Stream positions 0 .. n-1 in C order over shape, read-only.
-
-    uniforms_at recognises these (and C-contiguous views of them of the
-    same size) and draws the prefix without a gather or a bounds pass.
-    """
-    n = math.prod(shape)
-    base = _IN_ORDER.get(n)
-    if base is None:
-        base = np.arange(n, dtype=np.int64)
-        base.setflags(write=False)
-        _IN_ORDER[n] = base
-        if n <= _CHUNK:
-            _KEPT.append(base)
-    return base.reshape(shape)
-
-
 def uniforms_at(key: np.ndarray, positions) -> np.ndarray:
-    """Uniforms addressed by an arbitrary array of stream positions.
-
-    Gather form: generates the prefix up to max(positions) and indexes into
-    it, so it is meant for dense position sets (e.g. a permutation of an
-    element index space), not sparse ones.  Positions from
-    positions_in_order are the prefix itself.
+    """Uniforms addressed by stream positions.  A range r with step 1 is
+    drawn as uniforms(key, len(r), r.start).  Any other array of positions
+    takes the gather form: it generates the prefix up to max(positions) and
+    indexes into it, so it is meant for dense position sets (e.g. a
+    permutation of an element index space), not sparse ones.
     """
+    if isinstance(positions, range) and positions.step == 1:
+        return uniforms(key, len(positions), positions.start)
     positions = np.asarray(positions, dtype=np.int64)
     if positions.size == 0:
         return np.zeros(positions.shape, dtype=np.float64)
-    # a C-contiguous view of all of one of those arrays is that array
-    in_order = _IN_ORDER.get(positions.size)
-    if (in_order is not None and positions.base is in_order
-            and positions.flags.c_contiguous):
-        return uniforms(key, positions.size).reshape(positions.shape)
     if positions.min() < 0:
         raise ValueError("positions must be non-negative")
     prefix = uniforms(key, int(positions.max()) + 1)

@@ -42,6 +42,7 @@ from fp4sim.codecs import (
 )
 from fp4sim.gemm import transpose_quantized_view
 from fp4sim.reports import TensorReport, quantization_stats, tensor_report
+from fp4sim.rng import _CHUNK
 
 # --- the oracles ---------------------------------------------------------------
 
@@ -404,7 +405,7 @@ def test_stats_span_many_chunks(pair, sr):
     fmt, scale_layout = _PAIRS[pair]
     rng = np.random.default_rng(11)
     a = rng.standard_normal((300, 257)) * rng.lognormal(0.0, 3.0, (300, 1))
-    assert a.size > codecs._CHUNK
+    assert a.size > _CHUNK
     mode = Stochastic(("stats-chunks", pair)) if sr else NEAREST
     sources = ["quantize", "container"] + (["transpose"] if pair == "nv_square" else [])
     for source in sources:

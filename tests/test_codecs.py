@@ -157,6 +157,20 @@ def test_e4m3_nan_codes_rejected():
     assert np.isnan(E4M3_VALUES[0x7F]) and np.isnan(E4M3_VALUES[0xFF])
 
 
+def test_scale_decoders_reject_codes_outside_their_codec():
+    # a negative code must not wrap to 0xFE, nor a large one raise a bare
+    # IndexError or decode to a power of two past the codec; UE8M0's 0xFF
+    # is NaN (OCP MX v1.0)
+    for decode, bad in ((decode_e4m3, [-2, 256, 300]),
+                        (decode_ue8m0, [-1, 0xFF, 256, 300])):
+        for c in bad:
+            with pytest.raises(InvalidCodeError):
+                decode(np.array([c]))
+    with pytest.raises(InvalidCodeError):
+        decode_ue8m0(np.array([0xFF], dtype=np.uint8))
+    assert decode_ue8m0(np.array([0xFE], dtype=np.uint8))[0] == 2.0 ** 127
+
+
 def test_e4m3_round_trip_all_finite_codes():
     codes = np.array([c for c in range(256) if (c & 0x7F) != 0x7F])
     vals = E4M3_VALUES[codes]

@@ -3,6 +3,7 @@ what the trace path computes, and the bytes analyze prints."""
 
 import copy
 import hashlib
+import json
 import os
 import pickle
 from dataclasses import fields, replace
@@ -101,3 +102,17 @@ def test_analyze_json_output_is_pinned(tmp_path, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "67c29ded81dd641c14d6691057b46e5c237107ade0a3a6d36e5e55136dc2ac6d")
+
+
+def test_analyze_json_is_strict_json(tmp_path, capsys):
+    # JSON has no Infinity or NaN: an exact round trip reports sqnr_db
+    # "inf", an all-zero tensor null
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    for x, want in ((np.ones((4, 32)), "inf"), (np.zeros((4, 32)), None)):
+        path = os.path.join(tmp_path, "x.fp4t")
+        tensorfile.write_tensor(path, x)
+        assert main(["analyze", path, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert [r["sqnr_db"] for r in doc["reports"]] == [want, want]

@@ -77,7 +77,7 @@ def test_reused_generator_keeps_nothing_from_earlier_draws():
 
 def test_threads_draw_their_own_streams():
     # more threads than cores, switching often, each drawing its own
-    # streams through its own generator and the shared in-order positions
+    # streams through its own generator
     keys = [rng.stream_key("thread", i) for i in range(6)]
     want = {i: _fresh_uniforms(k, 5000, 0).tobytes() for i, k in enumerate(keys)}
     got, errors = {}, []
@@ -85,7 +85,7 @@ def test_threads_draw_their_own_streams():
     def draw(i):
         try:
             for _ in range(20):
-                u = rng.uniforms_at(keys[i], rng.positions_in_order((50, 100)))
+                u = rng.uniforms_at(keys[i], range(5000))
                 got[i] = u.tobytes()
         except Exception as e:  # reported below
             errors.append(e)
@@ -138,8 +138,8 @@ def test_block_positions_draw_the_uniforms_of_the_gathered_arange(shape, layout,
     assert q.codes.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("layout", [rows1d(16), cols1d(16), square2d()])
-def test_sr_quantize_draws_at_in_order_positions(monkeypatch, layout):
+def _quantize_sr_recording(monkeypatch, x, layout):
+    """quantize(x) stochastically, and the positions it asked uniforms_at for."""
     seen = []
     real = codecs.uniforms_at
 
@@ -148,23 +148,42 @@ def test_sr_quantize_draws_at_in_order_positions(monkeypatch, layout):
         return real(key, positions)
 
     monkeypatch.setattr(codecs, "uniforms_at", recording)
+    return quantize(x, NVFP4, layout, Stochastic(("in-order",))), seen
+
+
+@pytest.mark.parametrize("layout", [rows1d(16), cols1d(16), square2d()])
+def test_sr_quantize_draws_at_in_order_positions(monkeypatch, layout):
     x = np.random.default_rng(8).standard_normal((37, 45))
-    q = quantize(x, NVFP4, layout, Stochastic(("in-order",)))
-    (p,) = seen
+    q, seen = _quantize_sr_recording(monkeypatch, x, layout)
     rp, cp = q.block_map.padded_shape
-    assert p.size == rp * cp and p.flags.c_contiguous
-    assert p.tobytes() == np.arange(rp * cp).tobytes()
-    # the positions uniforms_at draws as the stream's prefix, without a gather
-    assert p.base is rng.positions_in_order(p.shape).base
+    # stretches of the stream that cover the padded positions in order
+    assert all(isinstance(r, range) and r.step == 1 for r in seen)
+    assert [i for r in seen for i in r] == list(range(rp * cp))
 
 
-def test_only_whole_in_order_positions_skip_the_gather():
+def test_sr_quantize_draws_a_chunk_of_positions_at_a_time(monkeypatch):
+    x = np.random.default_rng(9).standard_normal((300, 257))
+    q, seen = _quantize_sr_recording(monkeypatch, x, rows1d(16))
+    n = q.codes.size
+    assert n > rng._CHUNK and len(seen) > 1
+    assert all(isinstance(r, range) and r.step == 1 and len(r) <= rng._CHUNK
+               for r in seen)
+    # the ranges tile 0 .. n - 1 in order
+    assert seen[0].start == 0 and seen[-1].stop == n
+    assert all(a.stop == b.start for a, b in zip(seen, seen[1:]))
+
+
+def test_position_arrays_gather_the_prefix():
     key = rng.stream_key("views")
-    p = rng.positions_in_order((8, 12))
+    p = np.arange(96).reshape(8, 12)
     prefix = rng.uniforms(key, 96)
-    for view in (p[::-1], p[:, ::-1], p.T, p[:, :6], p[2:], p.reshape(12, 8)[:, 1:]):
+    for view in (p, p[::-1], p[:, ::-1], p.T, p[:, :6], p[2:], p.reshape(12, 8)[:, 1:]):
         assert rng.uniforms_at(key, view).tobytes() == prefix[view].tobytes()
-    assert rng.uniforms_at(key, p).tobytes() == prefix.reshape(8, 12).tobytes()
+    assert rng.uniforms_at(key, range(6, 15)).tobytes() == rng.uniforms(key, 9, 6).tobytes()
+    assert rng.uniforms_at(key, range(7, 7)).shape == (0,)
+    with pytest.raises(ValueError):
+        rng.uniforms_at(key, range(-2, 5))
+    assert rng.uniforms_at(key, range(0, 96, 2)).tobytes() == prefix[::2].tobytes()
 
 
 def test_block_map_built_once_per_shape_and_layout(monkeypatch):
