@@ -76,16 +76,16 @@ from .codecs import (
     E4M3_SMALLEST_POSITIVE_CODE,
     E4M3_VALUES,
     NEAREST,
+    SCALE_VALUES,
     InvalidCodeError,
     QuantizationError,
     RoundingMode,
     ScaleRangeError,
     _encode_e2m1,
     _encode_e4m3,
+    _gather,
     check_finite,
     decode_e2m1,
-    decode_e4m3,
-    decode_ue8m0,
     encode_ue8m0_roundup,
 )
 from .rng import _CHUNK, _row_chunks
@@ -109,7 +109,7 @@ class FormatSpec:
     scale_rule: Callable[[np.ndarray], tuple] = field(repr=False)
 
     def __post_init__(self):
-        if self.scale_codec not in ("e4m3", "ue8m0"):
+        if self.scale_codec not in SCALE_VALUES:
             raise ValueError(f"unknown scale codec {self.scale_codec!r}")
         if self.block_len < 1:
             raise ValueError("block_len must be positive")
@@ -179,7 +179,7 @@ def _mxfp4_scale_rule(amax_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, None]
     # it, including an ideal scale that underflows to zero (amax_b of a few
     # subnormals) and the zero scale of an all-zero block: both get code 0.
     codes = encode_ue8m0_roundup(np.maximum(amax_b / E2M1_MAX, 2.0 ** -127))
-    return codes, 1.0 / decode_ue8m0(codes), None
+    return codes, 1.0 / SCALE_VALUES["ue8m0"].take(codes), None
 
 
 NVFP4 = FormatSpec("nvfp4", 16, "e4m3", True, _nvfp4_scale_rule)
@@ -187,10 +187,6 @@ MXFP4 = FormatSpec("mxfp4", 32, "ue8m0", False, _mxfp4_scale_rule)
 
 FORMATS = {f.name: f for f in (NVFP4, MXFP4)}
 
-# The block scale codes the encoders write are those below the limit of
-# their codec: E4M3 without the sign bit and other than the NaN pattern
-# 0x7F, and UE8M0 other than 0xFF (NaN, which would decode to 2^128).
-SCALE_CODE_LIMIT = {"e4m3": 0x7F, "ue8m0": 0xFF}
 _BAD_SCALE_CODE = {"e4m3": "E4M3 scale code with the sign bit set or the NaN pattern",
                    "ue8m0": "UE8M0 scale code 0xFF (NaN)"}
 
@@ -217,17 +213,6 @@ def check_tensor_scale(fmt: FormatSpec, s: float | None) -> None:
     elif not (s > 0.0 and math.isfinite(s * (E2M1_MAX * E4M3_MAX))):
         raise ScaleRangeError(f"{fmt.name} tensor-level decode scale must be "
                               f"positive with 6 * 448 * scale finite, got {s!r}")
-
-
-def _check_scale_codes(scale_codes: np.ndarray, fmt: FormatSpec) -> None:
-    """Raise ScaleCodeError naming the first block scale code outside
-    [0, SCALE_CODE_LIMIT) of its codec (a negative one can only come from
-    a signed integer array)."""
-    limit = SCALE_CODE_LIMIT[fmt.scale_codec]
-    if scale_codes.max() >= limit or scale_codes.min() < 0:
-        flat = scale_codes.reshape(-1)
-        i = int(np.argmax((flat >= limit) | (flat < 0)))
-        raise ScaleCodeError(f"{_BAD_SCALE_CODE[fmt.scale_codec]} 0x{int(flat[i]):02X}", i)
 
 
 @dataclass(frozen=True)
@@ -436,12 +421,25 @@ class QuantizedTensor:
 
     def scale_values(self) -> np.ndarray:
         """Per-block decode scales (before the tensor-level scale) over the
-        block grid; read-only, computed on first use."""
+        block grid, one gather from the codec's SCALE_VALUES; read-only,
+        computed on first use."""
         if self._scales is None:
-            _check_scale_codes(self.scale_codes, self.fmt)
-            decode = decode_e4m3 if self.fmt.scale_codec == "e4m3" else decode_ue8m0
-            self._scales = _read_only(decode(self.scale_codes))
+            codec = self.fmt.scale_codec
+            values = SCALE_VALUES[codec]
+            try:
+                self._scales = _read_only(_gather(values, self.scale_codes, codec))
+            except InvalidCodeError:
+                # the first code past the table, or negative in a signed array
+                flat = self.scale_codes.reshape(-1)
+                i = int(np.argmax((flat >= len(values)) | (flat < 0)))
+                raise ScaleCodeError(f"{_BAD_SCALE_CODE[codec]} 0x{int(flat[i]):02X}",
+                                     i) from None
         return self._scales
+
+    @property
+    def decode_scale(self) -> float:
+        """The tensor-level decode scale, 1.0 for a format without one."""
+        return 1.0 if self.global_decode_scale is None else self.global_decode_scale
 
     def unscaled_values(self) -> np.ndarray:
         """Code values times their block decode scales over the padded
@@ -491,13 +489,11 @@ def encode_multipliers(q: QuantizedTensor) -> np.ndarray:
     multiplying the original values by these reproduces exactly what the
     encoder saw before E2M1 rounding.
     """
-    return _multipliers(q.scale_values(),
-                        q.global_decode_scale if q.fmt.has_tensor_scale else 1.0)
+    return _multipliers(q.scale_values(), q.decode_scale)
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:
     """Decode to binary64 and crop the zero padding."""
-    vals = q.unscaled_values()
-    vals = vals * q.global_decode_scale if q.fmt.has_tensor_scale else vals.copy()
+    vals = q.unscaled_values() * q.decode_scale
     r, c = q.shape
     return vals[:r, :c]

@@ -37,7 +37,6 @@ from .codecs import (
     NonFiniteInputError,
     QuantizationError,
     Stochastic,
-    check_finite,
 )
 from .hadamard import HadamardSpec
 from .harness import (
@@ -107,7 +106,6 @@ def _seeds(text: str) -> tuple[int, ...]:
 
 def _cmd_quantize(args) -> int:
     x = _read_wide(args.input)
-    check_finite(x, f"{args.input}: ")
     mode = (Stochastic(key_parts=("cli-quantize", args.seed))
             if args.round == "sr" else NEAREST)
     q = quantize(x, FORMATS[args.format], LAYOUTS.get(args.layout), mode)
@@ -129,7 +127,6 @@ def _cmd_dequantize(args) -> int:
 
 def _cmd_analyze(args) -> int:
     x = _read_wide(args.input)
-    check_finite(x, f"{args.input}: ")
     layout = LAYOUTS.get(args.layout)
     reports = []
     for name in args.format or list(FORMATS):
@@ -273,8 +270,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except NonFiniteInputError as e:
-        return _fail(EXIT_NUMERIC, str(e))
+    except NonFiniteInputError as e:  # quantize names the index, main the file
+        where = f"{args.input}: " if hasattr(args, "input") else ""
+        return _fail(EXIT_NUMERIC, f"{where}{e}")
     except LayoutError as e:
         return _fail(EXIT_SCHEMA, str(e))
     except QuantizationError as e:

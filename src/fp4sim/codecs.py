@@ -140,47 +140,34 @@ def _encode_e2m1(x: np.ndarray, mode: RoundingMode) -> np.ndarray:
     return codes if codes.ndim else codes[()]
 
 
-def _e2m1_walk(x: np.ndarray) -> np.ndarray:
-    """The nearest-even codes of the 1-D array x by a walk over the
-    thresholds; it builds the code tables."""
-    m = np.abs(x)
-    # Cumulative threshold walk; the >=/> alternation encodes ties-to-even:
-    # 0.25 -> 0.0, 0.75 -> 1.0, 1.25 -> 1.0, 1.75 -> 2.0, 2.5 -> 2.0,
-    # 3.5 -> 4.0, 5.0 -> 4.0.
-    codes = (m > 0.25).astype(np.uint8)
-    codes += m >= 0.75
-    codes += m > 1.25
-    codes += m >= 1.75
-    codes += m > 2.5
-    codes += m >= 3.5
-    codes += m > 5.0
-    neg = np.signbit(x)
-    neg &= codes > 0
-    codes |= neg.view(np.uint8) << 3
-    return codes
-
-
-def _bucket_table(encode, w: int, lo: float, hi: float, top: int,
+def _bucket_table(magnitudes: np.ndarray, w: int, lo: float, hi: float,
                   sign: int) -> np.ndarray:
-    """The code table of a nearest-even encoder over buckets of top w bits,
-    indexed by k(b) + k(b - 1) for the bits b of a value (module
-    docstring): entry 2k is the code of the inside of bucket k, entry
-    2k - 1 the code of its bottom.
+    """The nearest-even code table over buckets of top w bits of a codec
+    whose codes 0, 1, ... decode to the ascending magnitudes, indexed by
+    k(b) + k(b - 1) for the bits b of a value (module docstring): entry 2k
+    is the code of the inside of bucket k, entry 2k - 1 the code of its
+    bottom.
 
-    encode(v) gives the codes of positive magnitudes v in [lo, hi), which
-    are powers of two; smaller magnitudes encode to 0, larger ones to top.
-    A negative value takes its magnitude's code with the sign bit set,
-    except that zero codes stay 0.  Only the buckets in [lo, hi) are
-    encoded, so the temporaries stay small; read-only.
+    The thresholds are the midpoints of adjacent magnitudes, and a midpoint
+    goes to the even code of its two.  Magnitudes in [lo, hi), powers of
+    two, are encoded; smaller ones encode to 0, larger ones saturate to the
+    last code.  A negative value takes its magnitude's code with the sign
+    bit set, except that zero codes stay 0.  Only the buckets in [lo, hi)
+    are encoded, so the temporaries stay small; read-only.
     """
+    mid = (magnitudes[:-1] + magnitudes[1:]) / 2  # exact in binary64
+    even = np.arange(len(mid)) % 2 == 0
+    # the smallest magnitude whose code is above k: an even k keeps its tie
+    above = np.where(even, np.nextafter(mid, np.inf), mid)
     shift = 64 - w
     k_lo, k_hi = (int(np.float64(v).view(np.uint64)) >> shift for v in (lo, hi))
     bottom = (np.arange(k_lo, k_hi, dtype=np.uint64) << shift).view(np.float64)
     codes = np.zeros((2, 1 << (w - 1), 2), dtype=np.uint8)  # [sign, bucket, inside]
     pos = codes[0]
-    pos[k_lo:k_hi, 0] = encode(bottom)
-    pos[k_lo:k_hi, 1] = encode(np.nextafter(bottom, np.inf))
-    pos[k_hi:] = top
+    pos[k_lo:k_hi, 0] = np.searchsorted(above, bottom, side="right")
+    pos[k_lo:k_hi, 1] = np.searchsorted(above, np.nextafter(bottom, np.inf),
+                                        side="right")
+    pos[k_hi:] = len(mid)
     np.bitwise_or(pos, sign, out=codes[1], where=pos > 0)
     # entry j is flat entry j + 1: bucket k's bottom lands on 2k - 1
     table = codes.reshape(-1)[1:]
@@ -200,20 +187,13 @@ def _bucket_codes(table: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
     return table.take(key.view(np.intp).reshape(x.shape), out=out, mode="clip")
 
 
-_E2M1_CODES = _bucket_table(_e2m1_walk, 14, 0.125, 8.0, 7, 0x8)
+_E2M1_CODES = _bucket_table(_E2M1_POSITIVE, 14, 0.125, 8.0, 0x8)
 
-
-def _grid_codes() -> np.ndarray:
-    """The nearest-even code of the smallest magnitude of every bucket of
-    top 13 bits (sign, exponent and first mantissa bit), signed zero
-    included; read-only."""
-    bottom = (np.arange(1 << 13, dtype=np.uint64) << 51).view(np.float64)
-    codes = _e2m1_walk(bottom)
-    codes.setflags(write=False)
-    return codes
-
-
-_GRID_CODES = _grid_codes()
+# The codes of the E2M1 grid values, keyed by their top 13 bits (sign,
+# exponent and first mantissa bit); 0 at every other key.
+_GRID_CODES = np.zeros(1 << 13, dtype=np.uint8)
+_GRID_CODES[E2M1_GRID.view(np.uint64) >> 51] = _bucket_codes(_E2M1_CODES, E2M1_GRID)
+_GRID_CODES.setflags(write=False)
 
 
 def _gather(table: np.ndarray, codes, what: str) -> np.ndarray:
@@ -311,19 +291,8 @@ E4M3_SMALLEST_POSITIVE = 2.0 ** -9
 E4M3_SMALLEST_POSITIVE_CODE = 0x01
 
 
-def _e4m3_thresholds() -> np.ndarray:
-    """For k = 0 .. 125, the smallest magnitude whose nearest-even code is
-    above k: the midpoint of codes k and k + 1 (exact in binary64), or the
-    next double above it when k is even and keeps the tie.  Magnitudes
-    past the last one saturate to code 126."""
-    mid = (E4M3_VALUES[:126] + E4M3_VALUES[1:127]) / 2
-    return np.where(np.arange(126) % 2 == 0, np.nextafter(mid, np.inf), mid)
-
-
-# Magnitudes below 2^-10 round to code 0, and from 448 on saturate.
-_E4M3_CODES = _bucket_table(
-    lambda v: np.searchsorted(_e4m3_thresholds(), v, side="right"),
-    16, 2.0 ** -11, 2.0 ** 9, 126, 0x80)
+# Magnitudes below 2^-10 round to code 0, and from 448 on saturate to 126.
+_E4M3_CODES = _bucket_table(E4M3_VALUES[:127], 16, 2.0 ** -11, 2.0 ** 9, 0x80)
 
 
 def encode_e4m3(x) -> np.ndarray:
@@ -381,3 +350,9 @@ def decode_ue8m0(codes) -> np.ndarray:
     0..254 raises InvalidCodeError, 0xFF because it is NaN in OCP MX v1.0."""
     return _gather(_UE8M0_VALUES, codes,
                    "UE8M0 codes must be 8-bit patterns other than 0xFF (NaN)")
+
+
+# The values of the block scale codes the encoders write, by codec: E4M3
+# without the sign bit and other than the NaN pattern 0x7F, and UE8M0 other
+# than 0xFF.
+SCALE_VALUES = {"e4m3": E4M3_VALUES[:0x7F], "ue8m0": _UE8M0_VALUES}

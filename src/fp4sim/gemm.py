@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blockquant import SCALE_CODE_LIMIT, QuantizedTensor, _read_only
-from .codecs import E4M3_VALUES, decode_ue8m0
+from .blockquant import QuantizedTensor, _read_only
+from .codecs import SCALE_VALUES
 
 
 class GemmError(ValueError):
@@ -66,8 +66,7 @@ def scaled_gemm(qa: QuantizedTensor, qb: QuantizedTensor) -> np.ndarray:
         out += 0.0
     else:
         out = _block_loop(qa, qb, block_k)
-    if qa.fmt.has_tensor_scale:
-        out *= qa.global_decode_scale * qb.global_decode_scale
+    out *= qa.decode_scale * qb.decode_scale
     return out
 
 
@@ -84,10 +83,7 @@ def _lowest_bit_table(values: np.ndarray) -> np.ndarray:
     return table
 
 
-_LOWEST_BIT = {
-    "e4m3": _lowest_bit_table(E4M3_VALUES[:SCALE_CODE_LIMIT["e4m3"]]),
-    "ue8m0": _lowest_bit_table(decode_ue8m0(np.arange(SCALE_CODE_LIMIT["ue8m0"]))),
-}
+_LOWEST_BIT = {codec: _lowest_bit_table(v) for codec, v in SCALE_VALUES.items()}
 
 
 def _lowest_scale_bit(q: QuantizedTensor) -> float:

@@ -507,20 +507,14 @@ def run_ablation_suite(base: ExperimentConfig, variant_names=None,
         return [run_experiment(replace(cfg, seed=s)) for s in seeds]
 
     rows = []
-    base_records = run_all(base)
-    base_mean = float(np.mean([r.final_loss for r in base_records]))
-    rows.append(SuiteRow("base", [r.final_loss for r in base_records],
-                         base_mean, 0.0,
-                         sum(r.diverged_at is not None for r in base_records),
-                         base_records))
-    for name in variant_names:
-        recs = run_all(VARIANTS[name](base))
+    for name, cfg in [("base", base), *((n, VARIANTS[n](base)) for n in variant_names)]:
+        recs = run_all(cfg)
         losses = [r.final_loss for r in recs]
         mean = float(np.mean(losses))
-        rows.append(SuiteRow(name, losses, mean,
-                             relative_loss_difference(base_mean, mean),
-                             sum(r.diverged_at is not None for r in recs),
-                             recs))
+        # 0.0 for the base itself, even a diverged one (inf vs inf is NaN)
+        rel = relative_loss_difference(rows[0].mean_final_loss, mean) if rows else 0.0
+        rows.append(SuiteRow(name, losses, mean, rel,
+                             sum(r.diverged_at is not None for r in recs), recs))
     return rows
 
 

@@ -112,9 +112,7 @@ def tensor_report(x: np.ndarray, q: QuantizedTensor) -> TensorReport:
     # a positive decode scale rounds monotonically, so the decoded amax is
     # the amax of the unscaled values times that scale
     unscaled = q.unscaled_values()
-    amax_deq = float(max(unscaled.max(), -unscaled.min()))
-    if q.fmt.has_tensor_scale:
-        amax_deq *= q.global_decode_scale
+    amax_deq = float(max(unscaled.max(), -unscaled.min())) * q.decode_scale
     bm = q.block_map
     # E2M1 magnitudes rise with the low three code bits
     block_max = E2M1_VALUES[bm.view(q.codes & 7).max(axis=(1, 3))]

@@ -2,6 +2,8 @@
 applies: no scale code or tensor scale decodes to a sign-flipped, NaN or
 2^128 value."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,9 @@ from fp4sim.blockquant import (
     quantize,
     rows1d,
 )
-from fp4sim.codecs import InvalidCodeError, ScaleRangeError
+from fp4sim.codecs import InvalidCodeError, ScaleRangeError, decode_e4m3, decode_ue8m0
 from fp4sim.gemm import scaled_gemm
+from fp4sim.tensorfile import TensorFileError, read_tensor, write_tensor
 
 
 def _ones(fmt):
@@ -65,3 +68,37 @@ def test_invalid_tensor_scale_raises_at_construction(s_dec):
     q = _ones(NVFP4)
     with pytest.raises(ScaleRangeError, match="tensor-level decode scale"):
         _rebuilt(q, global_decode_scale=s_dec)
+
+
+@pytest.mark.parametrize("fmt, decode, legal, what", [
+    # E4M3 scales are the positive non-NaN codes; UE8M0 scales all but 0xFF
+    (NVFP4, decode_e4m3, range(0x7F), "E4M3 scale code with the sign bit set or "
+                                      "the NaN pattern"),
+    (MXFP4, decode_ue8m0, range(0xFF), "UE8M0 scale code 0xFF (NaN)"),
+])
+def test_every_scale_code_decodes_or_is_named(tmp_path, fmt, decode, legal, what):
+    q = quantize(np.ones((4, 2 * fmt.block_len)), fmt, rows1d(fmt.block_len))
+    path = str(tmp_path / "q.fp4t")
+    write_tensor(path, q)
+    with open(path, "rb") as f:
+        good = f.read()
+    at = 5  # flat index in the (4, 2) scale grid
+    offset = 36 + (q.codes.size + 1) // 2 + at  # after the header and codes
+    for code in [*range(256), -1]:
+        scales = np.array(q.scale_codes, dtype=np.int64 if code < 0 else np.uint8)
+        scales.reshape(-1)[at] = code
+        t = _rebuilt(q, scales)
+        if code in legal:
+            want = decode(np.array(scales, dtype=np.uint8))
+            assert t.scale_values().tobytes() == want.tobytes(), code
+            continue
+        with pytest.raises(ScaleCodeError) as e:
+            t.scale_values()
+        assert (e.value.what, e.value.index) == (f"{what} 0x{code:02X}", at)
+        if code < 0:
+            continue  # a container holds bytes
+        with open(path, "wb") as f:
+            f.write(good[:offset] + bytes([code]) + good[offset + 1:])
+        message = f"{what} 0x{code:02X} at byte offset {offset}"
+        with pytest.raises(TensorFileError, match=re.escape(message) + "$"):
+            read_tensor(path)
