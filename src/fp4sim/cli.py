@@ -41,15 +41,15 @@ from .codecs import (
 from .hadamard import HadamardSpec
 from .harness import (
     VARIANTS,
-    config_from_dict,
+    ExperimentConfig,
     config_to_dict,
     format_suite_table,
     reference_config,
     run_ablation_suite,
     run_experiment,
-    validate_config,
 )
 from .reports import analyze_tensor, format_report_table
+from .schema import decode
 from .tensorfile import TensorFileError, atomic_write, read_tensor, write_tensor
 
 EXIT_OK = 0
@@ -82,8 +82,7 @@ def _load_config(path: str):
             doc = json.load(f)
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise TensorFileError(f"{path}: not valid JSON ({e})")
-    violations = validate_config(doc)
-    return (None if violations else config_from_dict(doc)), violations
+    return decode(ExperimentConfig, doc)
 
 
 def _rht_spec(text: str) -> HadamardSpec | None:

@@ -339,8 +339,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     train_losses: list[float] = []
     val_curve: list[list] = []
     diverged_at: int | None = None
-    agg = {k.value: {"quant_error_sum": 0.0, "n": 0, "saturated": 0,
-                     "underflow_to_zero": 0} for k in GemmKind}
+    # per kind: [sum of rel_fro_error, operands, saturated, underflow_to_zero]
+    totals = {k: [0.0, 0, 0, 0] for k in GemmKind}
     inconsistent_dgrads = 0
 
     def validate(step):
@@ -371,11 +371,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
                 for tr in (*traces, ctxs[i].trace):
                     if tr is None:
                         continue
-                    slot = agg[tr.kind.value]
-                    slot["quant_error_sum"] += sum(tr.quant_error.values())
-                    slot["n"] += len(tr.quant_error)
-                    slot["saturated"] += tr.saturated
-                    slot["underflow_to_zero"] += tr.underflow_to_zero
+                    ops, tot = tr.stats.values(), totals[tr.kind]
+                    # a trace's errors are summed before they join the
+                    # total: the pinned fingerprints fix that order
+                    tot[0] += sum(s.rel_fro_error for s in ops)
+                    tot[1] += len(ops)
+                    tot[2] += sum(s.saturated for s in ops)
+                    tot[3] += sum(s.underflow_to_zero for s in ops)
                     if tr.consistent_weights is False:  # Dgrad only
                         inconsistent_dgrads += 1
                 if i:  # the layer's input is the ReLU of the one before
@@ -404,14 +406,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     else:
         final = float("inf")
 
-    summary = {}
-    for kind, slot in agg.items():
-        if slot["n"]:
-            summary[kind] = {
-                "mean_quant_error": slot["quant_error_sum"] / slot["n"],
-                "saturated": slot["saturated"],
-                "underflow_to_zero": slot["underflow_to_zero"],
-            }
+    summary = {k.value: {"mean_quant_error": err / n, "saturated": sat,
+                         "underflow_to_zero": under}
+               for k, (err, n, sat, under) in totals.items() if n}
     summary["inconsistent_dgrads"] = inconsistent_dgrads
 
     return RunRecord(

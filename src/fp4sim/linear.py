@@ -41,7 +41,7 @@ from .blockquant import (
 from .codecs import NEAREST, Stochastic
 from .gemm import scaled_gemm, transpose_quantized_view
 from .hadamard import HadamardSpec, rht_pair
-from .reports import OperandStats, quantization_stats
+from .reports import quantization_stats
 from .rng import stream_key
 from .schema import check_fields, one_of, raise_errors, subset_of
 
@@ -116,16 +116,14 @@ class LinearLayerState:
 
 @dataclass
 class GemmTrace:
-    """Record of one quantized GEMM: per-operand round-trip error plus
-    saturation/underflow counts, and, for a Dgrad given the forward weight
-    encoding, whether it multiplied by exactly those weight values: True
-    when it reused the encoding, False when it transformed both operands
-    (None otherwise)."""
+    """Record of one quantized GEMM, per operand (by trace name): its
+    quantization stats, its "format/layout kind" and its rounding mode; and,
+    for a Dgrad given the forward weight encoding, whether it multiplied by
+    exactly those weight values: True when it reused the encoding, False
+    when it transformed both operands (None otherwise)."""
 
     kind: GemmKind
-    quant_error: dict
-    saturated: int
-    underflow_to_zero: int
+    stats: dict
     layouts: dict
     rounding: dict
     consistent_weights: bool | None = None
@@ -162,27 +160,6 @@ def _as_cols(layout: ScalingLayout) -> ScalingLayout:
     return layout if layout.kind == "square" else cols1d(layout.block_len)
 
 
-# The stats of every operand when per-GEMM statistics are switched off
-_NO_STATS = OperandStats(rel_fro_error=0.0, saturated=0, underflow_to_zero=0)
-
-
-def _trace(policy: PrecisionPolicy, kind: GemmKind, operands,
-           consistent_weights: bool | None = None) -> GemmTrace:
-    """The trace of one GEMM from its two operands, each given as (name,
-    values before quantization, quantized tensor, rounding mode)."""
-    stats = {name: quantization_stats(values, q) if policy.collect_stats else _NO_STATS
-             for name, values, q, _ in operands}
-    return GemmTrace(
-        kind=kind,
-        quant_error={name: s.rel_fro_error for name, s in stats.items()},
-        saturated=sum(s.saturated for s in stats.values()),
-        underflow_to_zero=sum(s.underflow_to_zero for s in stats.values()),
-        layouts={name: f"{q.fmt.name}/{q.layout.kind}" for name, _, q, _ in operands},
-        rounding={name: type(mode).__name__ for name, _, _, mode in operands},
-        consistent_weights=consistent_weights,
-    )
-
-
 def _instance_spec(policy: PrecisionPolicy, layer_index: int, step: int,
                    kind: GemmKind) -> HadamardSpec:
     if policy.sign_strategy == "none":
@@ -197,20 +174,25 @@ def _instance_spec(policy: PrecisionPolicy, layer_index: int, step: int,
 def _gemm(policy: PrecisionPolicy, kind: GemmKind, layer_index: int, step: int,
           a: np.ndarray, b: np.ndarray, qweight: QuantizedTensor | None = None):
     """a @ b as one quantized GEMM of the given kind; returns (product,
-    trace, the right operand's encoding).
+    trace, the right operand's encoding).  With stats off the trace is None.
 
     Each operand follows its row of _OPERANDS: a Hadamard pair transform
     first when the policy lists the GEMM, the policy's layout for its role,
     stochastic rounding keyed by (seed, layer, step, "kind/tag") when the
     policy lists its role.  qweight is the forward weight encoding, given
     only to Dgrad: without a transform its transpose view stands in for the
-    right operand, and with stats on the trace records whether it did.
+    right operand, and the trace records whether it did.
     """
     transformed = kind in policy.rht_gemms
     if transformed:
         a, b = rht_pair(a, b, _instance_spec(policy, layer_index, step, kind))
     reuse = qweight is not None and not transformed
-    operands = []
+    # a view of the forward encoding matches it by construction, and a
+    # transformed Dgrad multiplies by rotated weights, which never do
+    trace = (GemmTrace(kind=kind, stats={}, layouts={}, rounding={},
+                       consistent_weights=reuse if qweight is not None else None)
+             if policy.collect_stats else None)
+    qs = []
     for (name, role, tag), values, orient in zip(_OPERANDS[kind], (a, b),
                                                  (_as_rows, _as_cols)):
         # a reused weight encoding was rounded by Fprop, under its stream
@@ -223,12 +205,12 @@ def _gemm(policy: PrecisionPolicy, kind: GemmKind, layer_index: int, step: int,
         else:
             layout = policy.weight_layout if role == "weights" else policy.act_grad_layout
             q = quantize(values, policy.fmt, orient(layout), mode)
-        operands.append((name, values, q, mode))
-    qa, qb = operands[0][2], operands[1][2]
-    # a view of the forward encoding matches it by construction, and a
-    # transformed Dgrad multiplies by rotated weights, which never do
-    consistent = reuse if policy.collect_stats and qweight is not None else None
-    trace = _trace(policy, kind, operands, consistent)
+        if trace is not None:
+            trace.stats[name] = quantization_stats(values, q)
+            trace.layouts[name] = f"{q.fmt.name}/{q.layout.kind}"
+            trace.rounding[name] = type(mode).__name__
+        qs.append(q)
+    qa, qb = qs
     return scaled_gemm(qa, qb), trace, qb
 
 
@@ -251,7 +233,9 @@ def forward(layer: LinearLayerState, x, policy: PrecisionPolicy,
 
 
 def backward(ctx: FwdContext, dy):
-    """Gradients (dx, dW, traces) for the saved forward call.
+    """Gradients (dx, dW, traces) for the saved forward call: the traces
+    of Dgrad and Wgrad (None with stats off), or [] when the backward pass
+    runs wide.
 
     Dgrad (dx = dy @ W, contracted over out_features) reuses the forward
     weight encoding through a transpose view when the layout allows it;

@@ -5,10 +5,10 @@ the offline tensor reports printed by the command-line tools, so the two can
 never disagree about what "saturation" or "SQNR" means.
 
 With PrecisionPolicy.collect_stats on (the default), every quantized GEMM
-operand gets a quantization_stats call, which computes the three numbers
-its GemmTrace keeps: rel_fro_error (as quant_error), saturated and
-underflow_to_zero.  It reads x and the QuantizedTensor alone, so a tensor
-from quantize, a transpose view or a container gives the same numbers.
+operand gets a quantization_stats call, whose OperandStats its GemmTrace
+keeps: rel_fro_error, saturated and underflow_to_zero.  It reads x and the
+QuantizedTensor alone, so a tensor from quantize, a transpose view or a
+container gives the same numbers.
 tensor_report, which analyze_tensor returns, takes those three fields from
 quantization_stats and computes the rest of a TensorReport in the same call.
 """
@@ -29,7 +29,6 @@ from .blockquant import (
     dequantize,
     encode_multipliers,
     quantize,
-    rows1d,
 )
 from .codecs import E2M1_MAX, E2M1_VALUES
 from .hadamard import HadamardSpec, apply_rht_padded
@@ -206,8 +205,6 @@ def analyze_tensor(x, fmt: FormatSpec, layout: ScalingLayout | None = None,
     x = np.asarray(x, dtype=np.float64)
     if rht is not None:
         x = apply_rht_padded(x, rht)
-    if layout is None:
-        layout = rows1d(fmt.block_len)
     q = quantize(x, fmt, layout)
     name = q.layout.kind + (f"+rht{rht.d}" if rht is not None else "")
     return replace(tensor_report(x, q), layout=name)

@@ -86,22 +86,13 @@ def uniforms(key: np.ndarray, count: int, start: int = 0) -> np.ndarray:
     return _generator(key, block).random(offset + int(count))[offset:]
 
 
-def uniforms_at(key: np.ndarray, positions) -> np.ndarray:
-    """Uniforms addressed by stream positions.  A range r with step 1 is
-    drawn as uniforms(key, len(r), r.start).  Any other array of positions
-    takes the gather form: it generates the prefix up to max(positions) and
-    indexes into it, so it is meant for dense position sets (e.g. a
-    permutation of an element index space), not sparse ones.
-    """
-    if isinstance(positions, range) and positions.step == 1:
-        return uniforms(key, len(positions), positions.start)
-    positions = np.asarray(positions, dtype=np.int64)
-    if positions.size == 0:
-        return np.zeros(positions.shape, dtype=np.float64)
-    if positions.min() < 0:
-        raise ValueError("positions must be non-negative")
-    prefix = uniforms(key, int(positions.max()) + 1)
-    return prefix[positions]
+def uniforms_at(key: np.ndarray, positions: range) -> np.ndarray:
+    """Uniforms at the stream positions of a range with step 1, drawn as
+    uniforms(key, len(positions), positions.start).  Raises ValueError for
+    anything else."""
+    if not (isinstance(positions, range) and positions.step == 1):
+        raise ValueError(f"positions must be a range with step 1, got {positions!r}")
+    return uniforms(key, len(positions), positions.start)
 
 
 def normals(key: np.ndarray, shape) -> np.ndarray:

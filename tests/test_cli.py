@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from fp4sim.blockquant import FORMATS, NVFP4, dequantize, quantize, rows1d
-from fp4sim.cli import main, validate_config
-from fp4sim.harness import config_to_dict, reference_config
+from fp4sim.cli import main
+from fp4sim.harness import config_to_dict, reference_config, validate_config
 from fp4sim.tensorfile import read_tensor, write_tensor
 
 

@@ -38,18 +38,17 @@ from fp4sim.codecs import (
     NEAREST,
     ScaleRangeError,
     Stochastic,
-    uniforms_at,
 )
 from fp4sim.gemm import transpose_quantized_view
 from fp4sim.reports import TensorReport, quantization_stats, tensor_report
-from fp4sim.rng import _CHUNK
+from fp4sim.rng import _CHUNK, uniforms
 
 # --- the oracles ---------------------------------------------------------------
 
 
-def _oracle_encode_e2m1(x, mode, counters):
+def _oracle_encode_e2m1(x, mode):
     if isinstance(mode, Stochastic):
-        x = _oracle_sr_round(x, mode, counters=counters)
+        x = _oracle_sr_round(x, mode)
     m = np.abs(x)
     idx = (m > 0.25).astype(np.uint8)
     idx += m >= 0.75
@@ -62,7 +61,8 @@ def _oracle_encode_e2m1(x, mode, counters):
     return idx
 
 
-def _oracle_sr_round(x, stream, counters=None):
+def _oracle_sr_round(x, stream):
+    # the element at row-major position i takes the stream's uniform i
     x = np.asarray(x, dtype=np.float64)
     xc = np.clip(x, -E2M1_MAX, E2M1_MAX)
     j = (xc >= E2M1_GRID[0]).astype(np.uint8)
@@ -72,9 +72,7 @@ def _oracle_sr_round(x, stream, counters=None):
     hi = E2M1_GRID[np.minimum(j, len(E2M1_GRID) - 1)]
     width = hi - lo
     p_hi = np.where(width > 0, (xc - lo) / np.where(width > 0, width, 1.0), 0.0)
-    if counters is None:
-        counters = np.arange(x.size, dtype=np.int64).reshape(x.shape)
-    u = uniforms_at(stream.key(), counters)
+    u = uniforms(stream.key(), x.size).reshape(x.shape)
     return np.where(u < p_hi, hi, lo)
 
 
@@ -212,8 +210,8 @@ def _same(got, want):
 @given(_arrays(_codec_values), st.sampled_from(_LAYOUTS))
 def test_encoders_match_oracles_in_bytes_and_layout(a, layout):
     x = _with_layout(a, layout)
-    _same(codecs._encode_e2m1(x, NEAREST), _oracle_encode_e2m1(x, NEAREST, None))
-    _same(codecs.encode_e2m1(x), _oracle_encode_e2m1(x, NEAREST, None))
+    _same(codecs._encode_e2m1(x, NEAREST), _oracle_encode_e2m1(x, NEAREST))
+    _same(codecs.encode_e2m1(x), _oracle_encode_e2m1(x, NEAREST))
     _same(codecs._encode_e4m3(x), _oracle_encode_e4m3(x))
     _same(codecs.encode_e4m3(x), _oracle_encode_e4m3(x))
 
@@ -225,13 +223,13 @@ def test_sr_round_matches_oracle_in_bytes_and_layout(a, layout, seed):
     x = _with_layout(a, layout)
     stream = Stochastic(("sr-oracle", seed))
     _same(codecs.sr_round(x, stream), _oracle_sr_round(x, stream))
-    _same(codecs._encode_e2m1(x, stream), _oracle_encode_e2m1(x, stream, None))
+    _same(codecs._encode_e2m1(x, stream), _oracle_encode_e2m1(x, stream))
 
 
 def test_codecs_keep_scalar_and_empty_results():
     stream = Stochastic(("sr-oracle-0d",))
     for x in (np.float64(-2.75), np.array(0.3), np.zeros((0, 3)), np.zeros(0)):
-        _same(codecs.encode_e2m1(x), _oracle_encode_e2m1(np.asarray(x), NEAREST, None))
+        _same(codecs.encode_e2m1(x), _oracle_encode_e2m1(np.asarray(x), NEAREST))
         _same(codecs.encode_e4m3(x), _oracle_encode_e4m3(np.asarray(x)))
         _same(codecs.sr_round(x, stream), _oracle_sr_round(x, stream))
 
@@ -241,7 +239,7 @@ def test_codecs_span_many_chunks():
     a = rng.standard_normal((300, 257)) * rng.lognormal(0.0, 3.0, (300, 1))
     stream = Stochastic(("sr-oracle-chunks",))
     for x in (a, np.asfortranarray(a), a[::-1, 1::2]):
-        _same(codecs._encode_e2m1(x, NEAREST), _oracle_encode_e2m1(x, NEAREST, None))
+        _same(codecs._encode_e2m1(x, NEAREST), _oracle_encode_e2m1(x, NEAREST))
         _same(codecs._encode_e4m3(x), _oracle_encode_e4m3(x))
         _same(codecs.sr_round(x, stream), _oracle_sr_round(x, stream))
 
@@ -250,7 +248,7 @@ def test_sr_codes_of_every_grid_value():
     # _encode_e2m1 reads the codes of sr_round's output, which holds only
     # grid values, from a table; they must be the walk's codes, -0.0's too
     grid = np.append(E2M1_GRID, -0.0)
-    want = _oracle_encode_e2m1(grid, NEAREST, None)
+    want = _oracle_encode_e2m1(grid, NEAREST)
     _same(codecs._GRID_CODES[(grid.view(np.uint64) >> 51).astype(np.intp)], want)
     _same(codecs._encode_e2m1(grid, Stochastic(("grid-codes",))), want)
 
@@ -288,10 +286,7 @@ _stats_values = st.one_of(st.sampled_from([v for v in _SPECIAL if abs(v) < 1e3])
 
 
 def _quantize_with_oracles(x, fmt, layout, mode):
-    def encode_e2m1(x, mode):
-        return _oracle_encode_e2m1(x, mode, None)
-
-    with mock.patch.object(blockquant, "_encode_e2m1", encode_e2m1), \
+    with mock.patch.object(blockquant, "_encode_e2m1", _oracle_encode_e2m1), \
             mock.patch.object(blockquant, "_encode_e4m3", _oracle_encode_e4m3):
         return quantize(x, fmt, layout, mode)
 

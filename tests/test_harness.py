@@ -11,6 +11,8 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fp4sim.harness as harness
+import fp4sim.linear as linear
 from fp4sim.blockquant import MXFP4, NVFP4, cols1d, rows1d, square2d
 from fp4sim.hadamard import HadamardSpec
 from fp4sim.harness import (
@@ -254,6 +256,51 @@ def test_trace_summary_square_weights_consistent():
     assert set(ts) == {"fprop", "dgrad", "wgrad", "inconsistent_dgrads"}
     assert ts["inconsistent_dgrads"] == 0
     assert ts["fprop"]["mean_quant_error"] > 0.0
+
+
+def test_stats_off_run_keeps_no_trace_summary():
+    cfg = replace(reference_config(0), steps=3)
+    on, off = run_experiment(cfg), run_experiment(_stats_off(cfg))
+    assert off.trace_summary == {"inconsistent_dgrads": 0}
+    assert off.train_losses == on.train_losses
+    assert set(on.trace_summary) == {"fprop", "dgrad", "wgrad", "inconsistent_dgrads"}
+
+
+def test_trace_summary_sums_the_traces(monkeypatch):
+    # recompute the per-kind summary from every trace the run made, taken in
+    # the run's order: each layer's Dgrad and Wgrad, then its Fprop
+    made, traces = [], []
+
+    def fwd(*args, **kw):
+        y, ctx = linear.forward(*args, **kw)
+        made.append(ctx.trace)
+        return y, ctx
+
+    def bwd(ctx, dy):
+        dx, dw, trs = linear.backward(ctx, dy)
+        traces.extend((*trs, ctx.trace))
+        return dx, dw, trs
+
+    monkeypatch.setattr(harness, "forward", fwd)
+    monkeypatch.setattr(harness, "backward", bwd)
+    rec = run_experiment(replace(reference_config(0), steps=3))
+    # the validation passes run with stats off and keep no trace
+    traces = [tr for tr in traces if tr is not None]
+    assert {id(tr) for tr in made if tr is not None} == {
+        id(tr) for tr in traces if tr.kind is GemmKind.FPROP}
+    want = {}
+    for kind in GemmKind:
+        stats = [list(tr.stats.values()) for tr in traces if tr.kind is kind]
+        err = 0.0
+        for ops in stats:
+            err += sum(s.rel_fro_error for s in ops)
+        want[kind.value] = {
+            "mean_quant_error": err / sum(map(len, stats)),
+            "saturated": sum(s.saturated for ops in stats for s in ops),
+            "underflow_to_zero": sum(s.underflow_to_zero for ops in stats for s in ops),
+        }
+    want["inconsistent_dgrads"] = sum(tr.consistent_weights is False for tr in traces)
+    assert rec.trace_summary == want
 
 
 def test_format_suite_table():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fp4sim.linear as linear_module
-from fp4sim.blockquant import MXFP4, cols1d, rows1d, square2d
+from fp4sim.blockquant import MXFP4, NVFP4, cols1d, quantize, rows1d, square2d
 from fp4sim.codecs import E2M1_GRID
 from fp4sim.hadamard import HadamardSpec, rht_pair as _rht_pair
 from fp4sim.harness import reference_config, run_experiment
@@ -19,6 +19,7 @@ from fp4sim.linear import (
     chain_rule_violation_metric,
     forward,
 )
+from fp4sim.reports import quantization_stats
 
 
 def _layer(rng, nout, nin, scale=1.0):
@@ -286,10 +287,38 @@ def test_trace_contents():
     assert tr.kind is GemmKind.FPROP
     assert tr.layouts == {"input": "nvfp4/rows", "weight": "nvfp4/square"}
     assert tr.rounding == {"input": "NearestEven", "weight": "NearestEven"}
-    assert tr.quant_error["input"] > 0.0
+    assert tr.stats["input"].rel_fro_error > 0.0
     _, _, traces = backward(ctx, rng.standard_normal((16, 16)))
     assert traces[0].rounding["grad_out"] == "Stochastic"
     assert traces[1].layouts == {"grad_out": "nvfp4/rows", "input": "nvfp4/cols"}
+
+
+def test_fprop_trace_keeps_each_operands_stats():
+    # the trace keeps quantization_stats of each operand under its layout
+    rng = np.random.default_rng(15)
+    layer = _layer(rng, 16, 32)
+    x = rng.standard_normal((8, 32))
+    _, ctx = forward(layer, x, PrecisionPolicy(), step=0)
+    w_t = layer.weights.T
+    assert ctx.trace.stats == {
+        "input": quantization_stats(x, quantize(x, NVFP4, rows1d(16))),
+        "weight": quantization_stats(w_t, quantize(w_t, NVFP4, square2d())),
+    }
+
+
+def test_stats_off_keeps_no_trace(monkeypatch):
+    def no_stats(*args):
+        raise AssertionError("quantization_stats called with stats off")
+
+    monkeypatch.setattr(linear_module, "quantization_stats", no_stats)
+    rng = np.random.default_rng(16)
+    layer = _layer(rng, 16, 16)
+    for weight_layout in (square2d(), rows1d(16)):
+        pol = PrecisionPolicy(collect_stats=False, weight_layout=weight_layout)
+        _, ctx = forward(layer, rng.standard_normal((8, 16)), pol)
+        assert ctx.trace is None
+        _, _, traces = backward(ctx, rng.standard_normal((8, 16)))
+        assert traces == [None, None]
 
 
 @pytest.mark.parametrize("weight_layout", [square2d(), rows1d(16)])
@@ -313,7 +342,7 @@ def test_traces_follow_the_operand_table(monkeypatch, weight_layout):
     assert dgrad.layouts == {"grad_out": "nvfp4/rows", "weight": w_layout}
     assert wgrad.layouts == {"grad_out": "nvfp4/rows", "input": "nvfp4/cols"}
     for tr in (ctx.trace, dgrad, wgrad):
-        assert set(tr.quant_error) == set(tr.layouts)
+        assert set(tr.stats) == set(tr.layouts)
     assert ctx.trace.rounding == {"input": "Stochastic", "weight": "Stochastic"}
     assert wgrad.rounding == {"grad_out": "Stochastic", "input": "Stochastic"}
     # square tiles: Dgrad reads a view of the forward encoding, which Fprop

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fp4sim.rng import normals, stream_key, uniforms, uniforms_at
+from fp4sim.rng import normals, stream_key, uniforms
 
 
 def test_stream_key_shape_and_determinism():
@@ -39,30 +39,6 @@ def test_uniforms_rejects_negative():
         uniforms(k, -1)
     with pytest.raises(ValueError):
         uniforms(k, 1, start=-2)
-
-
-def test_uniforms_at_matches_prefix():
-    k = stream_key("gather")
-    pos = np.array([[5, 0], [17, 17]])
-    prefix = uniforms(k, 18)
-    got = uniforms_at(k, pos)
-    assert got.shape == (2, 2)
-    assert np.array_equal(got, prefix[pos])
-
-
-def test_uniforms_at_order_independent():
-    k = stream_key("perm")
-    pos = np.arange(64)
-    rng = np.random.default_rng(0)
-    shuf = rng.permutation(pos)
-    assert np.array_equal(uniforms_at(k, shuf), uniforms_at(k, pos)[shuf])
-
-
-def test_uniforms_at_empty_and_negative():
-    k = stream_key("edge")
-    assert uniforms_at(k, np.zeros((0, 3), dtype=np.int64)).shape == (0, 3)
-    with pytest.raises(ValueError):
-        uniforms_at(k, [-1, 0])
 
 
 def test_normals_deterministic_with_sane_moments():
