@@ -63,7 +63,6 @@ from .harness import (
     TaskSpec,
     VARIANTS,
     config_digest,
-    config_from_dict,
     config_to_dict,
     format_suite_table,
     paired_wins,
@@ -71,7 +70,6 @@ from .harness import (
     relative_loss_difference,
     run_ablation_suite,
     run_experiment,
-    validate_config,
 )
 from .linear import (
     GemmKind,

@@ -88,13 +88,13 @@ NEAREST = NearestEven()
 RoundingMode = NearestEven | Stochastic
 
 
-def check_finite(x: np.ndarray, where: str = "") -> None:
+def check_finite(x: np.ndarray) -> None:
     """Raise NonFiniteInputError naming the first NaN or infinity of x by its
-    row-major flat index and value; where, if given, prefixes the message."""
+    row-major flat index and value."""
     finite = np.isfinite(x)
     if not finite.all():
         i = int(np.argmin(finite.reshape(-1)))
-        raise NonFiniteInputError(f"{where}non-finite value at flat index {i}: "
+        raise NonFiniteInputError(f"non-finite value at flat index {i}: "
                                   f"{float(x.reshape(-1)[i])!r}")
 
 

@@ -39,7 +39,6 @@ from .schema import (
     OPEN_FRACTION,
     POSITIVE,
     check_fields,
-    decode,
     one_of,
     raise_errors,
     to_json,
@@ -194,24 +193,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return to_json(cfg)
 
 
-def validate_config(d) -> list[str]:
-    """Every schema violation in the config document, one message each.
-
-    Messages name the offending field with a dotted path; an empty list
-    means config_from_dict will accept the document.
-    """
-    return decode(ExperimentConfig, d)[1]
-
-
-def config_from_dict(d) -> ExperimentConfig:
-    """The config a JSON document describes; absent fields take their
-    defaults.  Raises one ValueError listing every violation, one per line."""
-    cfg, errs = decode(ExperimentConfig, d)
-    if errs:
-        raise ValueError("\n".join(errs))
-    return cfg
-
-
 def config_digest(cfg: ExperimentConfig) -> str:
     blob = json.dumps(config_to_dict(cfg), sort_keys=True,
                       separators=(",", ":"))
@@ -228,10 +209,6 @@ def _init_layers(widths, seed, who: str) -> list[LinearLayerState]:
     return layers
 
 
-# The teacher's policy: every layer wide.
-_WIDE = PrecisionPolicy(quantize=False)
-
-
 def _network_forward(layers, x, policies, step):
     """The ReLU network on x, layer i under policies[i]; returns the output
     and each layer's forward context, which backward() takes."""
@@ -244,33 +221,54 @@ def _network_forward(layers, x, policies, step):
     return a, ctxs
 
 
-def _batch(cfg: ExperimentConfig, teacher, purpose: str, index: int, size: int):
-    """One batch: inputs, teacher targets, and per-sample loss weights.
+class _TeacherStudent:
+    """The run's task: a frozen teacher, the student's initial weights,
+    batches the teacher labels, and the weighted mean squared error.
 
     Per-sample scales make the batch dimension heavy-tailed; per-feature
-    scales (fixed for the whole run) give the input columns persistent
-    magnitude structure.  With per_sample weighting the loss divides each
-    sample by its squared scale, so every sample matters equally even
-    though the operand magnitudes span decades.
+    scales (drawn once per run) give the input columns persistent magnitude
+    structure; a tail of 0 makes every scale exactly 1.  With per_sample
+    weighting the loss divides each sample by its squared scale, so every
+    sample matters equally though the operand magnitudes span decades.
     """
-    task = cfg.task
-    kx = stream_key("data", purpose, cfg.seed, index)
-    x = normals(kx, (size, cfg.widths[0]))
-    weights = np.ones((size, 1))
-    if task.feature_tail > 0:
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg, task = cfg, cfg.task
+        self.teacher = _init_layers(cfg.widths, cfg.seed, "teacher")
+        self.teacher_policies = [PrecisionPolicy(quantize=False)] * len(self.teacher)
+        self.student = _init_layers(cfg.widths, cfg.seed + 1, "student")
+        if task.init_near_teacher:
+            for s_layer, t_layer in zip(self.student, self.teacher):
+                s_layer.weights = (t_layer.weights
+                                   + task.init_spread * s_layer.weights)
         logf = normals(stream_key("features", cfg.seed), (1, cfg.widths[0]))
-        x = x * np.exp(task.feature_tail * logf - task.feature_tail ** 2 / 2)
-    if task.tail > 0:
+        self.feature_scale = np.exp(task.feature_tail * logf
+                                    - task.feature_tail ** 2 / 2)
+
+    def batch(self, purpose: str, index: int, size: int):
+        """The inputs, and the target the loss takes: the teacher's outputs
+        and per-sample loss weights."""
+        cfg, task = self.cfg, self.cfg.task
         logs = normals(stream_key("scale", purpose, cfg.seed, index), (size, 1))
         scale = np.exp(task.tail * logs - task.tail ** 2 / 2)
-        x = x * scale
-        if task.loss_weighting == "per_sample":
-            weights = 1.0 / scale ** 2
-    t, _ = _network_forward(teacher, x, [_WIDE] * len(teacher), 0)
-    if task.noise > 0:
-        t = t + task.noise * normals(
-            stream_key("noise", purpose, cfg.seed, index), t.shape)
-    return x, t, weights
+        x = normals(stream_key("data", purpose, cfg.seed, index),
+                    (size, cfg.widths[0])) * self.feature_scale * scale
+        weights = (1.0 / scale ** 2 if task.loss_weighting == "per_sample"
+                   else np.ones((size, 1)))
+        t, _ = _network_forward(self.teacher, x, self.teacher_policies, 0)
+        if task.noise > 0:
+            t = t + task.noise * normals(
+                stream_key("noise", purpose, cfg.seed, index), t.shape)
+        return x, (t, weights)
+
+    @staticmethod
+    def loss(y, t, w) -> float:
+        return float(np.mean(w * (y - t) ** 2))
+
+    @staticmethod
+    def loss_grad(y, t, w):
+        """The gradient of loss() with respect to the output y."""
+        return 2.0 * w * (y - t) / y.size
 
 
 @dataclass
@@ -281,7 +279,7 @@ class RunRecord:
     seed: int
     final_loss: float
     train_losses: list
-    val_curve: list          # [step, wide-precision val loss] pairs
+    val_curve: list          # [step, val loss at the configured precision] pairs
     diverged_at: int | None
     switch_step: int | None
     trace_summary: dict
@@ -294,43 +292,38 @@ class RunRecord:
                           separators=(",", ":"))
 
 
-def _layer_policies(cfg: ExperimentConfig) -> list[PrecisionPolicy]:
+def _layer_policies(cfg: ExperimentConfig, switch_step: int | None):
+    """A step's (training, validation) layer policies, as a function of the
+    step, built once per phase: before the switch, and after it if there is
+    one.  Exempt layers run wide; validation keeps the others quantized
+    (their deployed behavior) and computes no per-GEMM statistics."""
     n = len(cfg.widths) - 1
     exempt = cfg.exempt.exempt_indices(n)
     base = replace(cfg.policy, seed=cfg.seed)
-    return [replace(base, quantize=False) if i in exempt else base
-            for i in range(n)]
-
-
-def _apply_switch(policies, cfg, step):
-    if cfg.switch is None or step < cfg.switch.resolve_step(cfg.steps):
-        return policies
-    scope = cfg.switch.scope
-    fwd = scope in ("forward", "both")
-    bwd = scope in ("backward", "both")
-    return [replace(p, quantize_forward=p.quantize_forward and not fwd,
-                    quantize_backward=p.quantize_backward and not bwd)
-            for p in policies]
+    phases = [[replace(base, quantize=False) if i in exempt else base
+               for i in range(n)]]
+    if cfg.switch is not None:
+        scope = cfg.switch.scope  # the direction(s) that go back to wide
+        phases.append([replace(p, quantize_forward=p.quantize_forward and scope == "backward",
+                               quantize_backward=p.quantize_backward and scope == "forward")
+                       for p in phases[0]])
+    phases = [(train, [replace(p, collect_stats=False) for p in train])
+              for train in phases]
+    return lambda step: phases[switch_step is not None and step >= switch_step]
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunRecord:
-    """Train the student and report wide-precision validation losses.
-
-    Divergence (non-finite or exploding loss, or a non-finite tensor
-    reaching a quantizer) stops the run and is recorded, never raised.
-    """
-    teacher = _init_layers(cfg.widths, cfg.seed, "teacher")
-    student = _init_layers(cfg.widths, cfg.seed + 1, "student")
-    if cfg.task.init_near_teacher:
-        for s_layer, t_layer in zip(student, teacher):
-            s_layer.weights = (t_layer.weights
-                               + cfg.task.init_spread * s_layer.weights)
-    n_layers = len(student)
-    policies = _layer_policies(cfg)
+    """Train the student and report validation losses of the network at its
+    configured precision.  Divergence (an exploding or non-finite loss, a
+    non-finite gradient, or a non-finite tensor reaching a quantizer) stops
+    the run and is recorded, never raised."""
+    task = _TeacherStudent(cfg)
+    student = task.student
     switch_step = (None if cfg.switch is None
                    else cfg.switch.resolve_step(cfg.steps))
+    policies = _layer_policies(cfg, switch_step)
 
-    xv, tv, wv = _batch(cfg, teacher, "val", 0, cfg.val_batch)
+    xv, target_v = task.batch("val", 0, cfg.val_batch)
 
     adam_m = [np.zeros_like(l.weights) for l in student]
     adam_v = [np.zeros_like(l.weights) for l in student]
@@ -343,49 +336,38 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     totals = {k: [0.0, 0, 0, 0] for k in GemmKind}
     inconsistent_dgrads = 0
 
-    def validate(step):
-        # quantized layers stay quantized (their deployed behavior), exempt
-        # layers run wide; no per-GEMM statistics are computed
-        live = [replace(p, collect_stats=False)
-                for p in _apply_switch(policies, cfg, step)]
-        yv, _ = _network_forward(student, xv, live, step)
-        loss = float(np.mean(wv * (yv - tv) ** 2))
-        val_curve.append([step, loss])
-        return loss
-
     for step in range(cfg.steps):
-        live = _apply_switch(policies, cfg, step)
-        x, t, wts = _batch(cfg, teacher, "train", step, cfg.batch_size)
+        x, target = task.batch("train", step, cfg.batch_size)
+        grads = None
         try:
-            y, ctxs = _network_forward(student, x, live, step)
-            loss = float(np.mean(wts * (y - t) ** 2))
+            y, ctxs = _network_forward(student, x, policies(step)[0], step)
+            loss = task.loss(y, *target)
             train_losses.append(loss)
-            if not math.isfinite(loss) or loss > 1e30:
-                diverged_at = step
-                break
-            g = 2.0 * wts * (y - t) / y.size
-            grads = [None] * n_layers
-            for i in range(n_layers - 1, -1, -1):
-                dx, dw, traces = backward(ctxs[i], g)
-                grads[i] = dw
-                for tr in (*traces, ctxs[i].trace):
-                    if tr is None:
-                        continue
-                    ops, tot = tr.stats.values(), totals[tr.kind]
-                    # a trace's errors are summed before they join the
-                    # total: the pinned fingerprints fix that order
-                    tot[0] += sum(s.rel_fro_error for s in ops)
-                    tot[1] += len(ops)
-                    tot[2] += sum(s.saturated for s in ops)
-                    tot[3] += sum(s.underflow_to_zero for s in ops)
-                    if tr.consistent_weights is False:  # Dgrad only
+            if math.isfinite(loss) and loss <= 1e30:
+                g = task.loss_grad(y, *target)
+                grads = [None] * len(student)
+                for i in range(len(student) - 1, -1, -1):
+                    dx, dw, traces = backward(ctxs[i], g)
+                    grads[i] = dw
+                    for tr in (*traces, ctxs[i].trace):
+                        if tr is None:
+                            continue
+                        ops, tot = tr.stats.values(), totals[tr.kind]
+                        # a trace's errors are summed before they join the
+                        # total: the pinned fingerprints fix that order
+                        tot[0] += sum(s.rel_fro_error for s in ops)
+                        tot[1] += len(ops)
+                        tot[2] += sum(s.saturated for s in ops)
+                        tot[3] += sum(s.underflow_to_zero for s in ops)
+                    if ctxs[i].dgrad_consistent is False:
                         inconsistent_dgrads += 1
-                if i:  # the layer's input is the ReLU of the one before
-                    g = dx * (ctxs[i].x > 0)
-            if any(not np.isfinite(gr).all() for gr in grads):
-                diverged_at = step
-                break
+                    if i:  # the layer's input is the ReLU of the one before
+                        g = dx * (ctxs[i].x > 0)
         except QuantizationError:
+            grads = None
+        # the one divergence exit: no gradients (an exploding or non-finite
+        # loss, or a QuantizationError), or a non-finite one
+        if grads is None or any(not np.isfinite(gr).all() for gr in grads):
             diverged_at = step
             break
         lr = cfg.lr.lr_at(step, cfg.steps)
@@ -398,13 +380,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
             layer.weights = layer.weights - lr * (
                 mhat / (np.sqrt(vhat) + eps)
                 + cfg.weight_decay * layer.weights)
-        if (step + 1) % cfg.val_every == 0 and step + 1 < cfg.steps:
-            validate(step + 1)
+        if (step + 1) % cfg.val_every == 0 or step + 1 == cfg.steps:
+            yv, _ = _network_forward(student, xv, policies(step + 1)[1], step + 1)
+            val_curve.append([step + 1, task.loss(yv, *target_v)])
 
-    if diverged_at is None:
-        final = validate(cfg.steps)
-    else:
-        final = float("inf")
+    final = val_curve[-1][1] if diverged_at is None else float("inf")
 
     summary = {k.value: {"mean_quant_error": err / n, "saturated": sat,
                          "underflow_to_zero": under}
@@ -500,12 +480,9 @@ def run_ablation_suite(base: ExperimentConfig, variant_names=None,
     if unknown:
         raise KeyError(f"unknown ablation axes: {unknown}")
 
-    def run_all(cfg):
-        return [run_experiment(replace(cfg, seed=s)) for s in seeds]
-
     rows = []
     for name, cfg in [("base", base), *((n, VARIANTS[n](base)) for n in variant_names)]:
-        recs = run_all(cfg)
+        recs = [run_experiment(replace(cfg, seed=s)) for s in seeds]
         losses = [r.final_loss for r in recs]
         mean = float(np.mean(losses))
         # 0.0 for the base itself, even a diverged one (inf vs inf is NaN)

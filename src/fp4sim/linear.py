@@ -141,6 +141,18 @@ class FwdContext:
     qweight: QuantizedTensor | None
     trace: GemmTrace | None
 
+    @property
+    def dgrad_consistent(self) -> bool | None:
+        """Whether backward()'s Dgrad multiplies by exactly the weight values
+        Fprop used, with stats on or off: True when it reads a view of the
+        forward encoding, which matches it by construction; False when it
+        transforms both operands, since rotated weights never match; None
+        without a forward encoding or with a wide backward pass."""
+        policy = self.policy
+        if self.qweight is None or not (policy.quantize and policy.quantize_backward):
+            return None
+        return GemmKind.DGRAD not in policy.rht_gemms
+
 
 # Per GEMM, the (trace name, tensor role, stream tag) of the left and the
 # right operand.  The left operand is scaled along its rows and the right one
@@ -172,7 +184,8 @@ def _instance_spec(policy: PrecisionPolicy, layer_index: int, step: int,
 
 
 def _gemm(policy: PrecisionPolicy, kind: GemmKind, layer_index: int, step: int,
-          a: np.ndarray, b: np.ndarray, qweight: QuantizedTensor | None = None):
+          a: np.ndarray, b: np.ndarray, qweight: QuantizedTensor | None = None,
+          consistent: bool | None = None):
     """a @ b as one quantized GEMM of the given kind; returns (product,
     trace, the right operand's encoding).  With stats off the trace is None.
 
@@ -180,23 +193,19 @@ def _gemm(policy: PrecisionPolicy, kind: GemmKind, layer_index: int, step: int,
     first when the policy lists the GEMM, the policy's layout for its role,
     stochastic rounding keyed by (seed, layer, step, "kind/tag") when the
     policy lists its role.  qweight is the forward weight encoding, given
-    only to Dgrad: without a transform its transpose view stands in for the
-    right operand, and the trace records whether it did.
+    only to a Dgrad that reuses it: its transpose view stands in for the
+    right operand.  consistent is the trace's consistent_weights.
     """
-    transformed = kind in policy.rht_gemms
-    if transformed:
+    if kind in policy.rht_gemms:
         a, b = rht_pair(a, b, _instance_spec(policy, layer_index, step, kind))
-    reuse = qweight is not None and not transformed
-    # a view of the forward encoding matches it by construction, and a
-    # transformed Dgrad multiplies by rotated weights, which never do
     trace = (GemmTrace(kind=kind, stats={}, layouts={}, rounding={},
-                       consistent_weights=reuse if qweight is not None else None)
+                       consistent_weights=consistent)
              if policy.collect_stats else None)
     qs = []
     for (name, role, tag), values, orient in zip(_OPERANDS[kind], (a, b),
                                                  (_as_rows, _as_cols)):
         # a reused weight encoding was rounded by Fprop, under its stream
-        reused = role == "weights" and reuse
+        reused = role == "weights" and qweight is not None
         stream = f"{GemmKind.FPROP.value if reused else kind.value}/{tag}"
         mode = (Stochastic((policy.seed, layer_index, step, stream))
                 if role in policy.sr_roles else NEAREST)
@@ -249,8 +258,9 @@ def backward(ctx: FwdContext, dy):
     if not (policy.quantize and policy.quantize_backward):
         return dy @ layer.weights, dy.T @ x, []
     li = layer.layer_index
+    consistent = ctx.dgrad_consistent
     dx, dgrad, _ = _gemm(policy, GemmKind.DGRAD, li, step, dy, layer.weights,
-                         ctx.qweight)
+                         ctx.qweight if consistent else None, consistent)
     dW, wgrad, _ = _gemm(policy, GemmKind.WGRAD, li, step, dy.T, x)
     return dx, dW, [dgrad, wgrad]
 

@@ -10,7 +10,8 @@ import pytest
 
 from fp4sim.blockquant import FORMATS, NVFP4, dequantize, quantize, rows1d
 from fp4sim.cli import main
-from fp4sim.harness import config_to_dict, reference_config, validate_config
+from fp4sim.harness import ExperimentConfig, config_to_dict, reference_config
+from fp4sim.schema import decode
 from fp4sim.tensorfile import read_tensor, write_tensor
 
 
@@ -325,12 +326,12 @@ def test_config_subcommand_is_valid_schema(capsys):
     assert main(["config", "--seed", "5"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc == config_to_dict(reference_config(5))
-    assert validate_config(doc) == []
+    assert decode(ExperimentConfig, doc)[1] == []
 
 
 def test_validate_config_clean():
-    assert validate_config(config_to_dict(reference_config(0))) == []
-    assert validate_config({}) == []  # all fields have defaults
+    assert decode(ExperimentConfig, config_to_dict(reference_config(0)))[1] == []
+    assert decode(ExperimentConfig, {})[1] == []  # all fields have defaults
 
 
 def test_validate_config_catches_each_category():
@@ -353,7 +354,7 @@ def test_validate_config_catches_each_category():
         "exempt": {"placement": "middle"},
         "switch": {"step": -2, "scope": "sideways"},
     }
-    msgs = validate_config(doc)
+    msgs = decode(ExperimentConfig, doc)[1]
     for frag in ("widths", "steps", "seed", "adam_eps", "extra_top",
                  "lr.kind", "lr.warmup_fraction", "task.loss_weighting",
                  "task.tail", "policy.fmt", "policy.act_grad_layout.kind",
@@ -367,18 +368,19 @@ def test_validate_config_block_len_coupling():
     doc = {"policy": {"fmt": "mxfp4",
                       "weight_layout": {"kind": "rows", "block_len": 16},
                       "act_grad_layout": {"kind": "rows", "block_len": 32}}}
-    msgs = validate_config(doc)
+    msgs = decode(ExperimentConfig, doc)[1]
     assert any("weight_layout.block_len" in m for m in msgs)
     assert not any("act_grad_layout" in m for m in msgs)
     doc2 = {"policy": {"fmt": "mxfp4",
                        "weight_layout": {"kind": "square", "block_len": 16}}}
-    assert any("square tiles require" in m for m in validate_config(doc2))
+    msgs2 = decode(ExperimentConfig, doc2)[1]
+    assert any("square tiles require" in m for m in msgs2)
 
 
 def test_validate_config_switch_bounds():
-    assert validate_config({"steps": 100, "switch": {"step": 200}})
-    assert validate_config({"steps": 100, "switch": {"step": 0.5}}) == []
-    assert validate_config({"steps": 100, "switch": None}) == []
+    assert decode(ExperimentConfig, {"steps": 100, "switch": {"step": 200}})[1]
+    assert decode(ExperimentConfig, {"steps": 100, "switch": {"step": 0.5}})[1] == []
+    assert decode(ExperimentConfig, {"steps": 100, "switch": None})[1] == []
 
 
 @pytest.mark.parametrize("field,path", [

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import fp4sim.harness as harness
 import fp4sim.linear as linear
 from fp4sim.blockquant import MXFP4, NVFP4, cols1d, rows1d, square2d
+from fp4sim.codecs import NonFiniteInputError
 from fp4sim.hadamard import HadamardSpec
 from fp4sim.harness import (
     ExemptionRule,
@@ -22,11 +23,9 @@ from fp4sim.harness import (
     SwitchSpec,
     TaskSpec,
     VARIANTS,
-    _batch,
-    _init_layers,
     _layer_policies,
+    _TeacherStudent,
     config_digest,
-    config_from_dict,
     config_to_dict,
     format_suite_table,
     paired_wins,
@@ -34,9 +33,10 @@ from fp4sim.harness import (
     relative_loss_difference,
     run_ablation_suite,
     run_experiment,
-    validate_config,
 )
 from fp4sim.linear import GemmKind, PrecisionPolicy
+from fp4sim.rng import normals, stream_key
+from fp4sim.schema import decode
 
 
 def _tiny(**kw):
@@ -72,8 +72,8 @@ def test_config_round_trip():
                       decay_fraction=0.5, floor_ratio=0.02),
         task=TaskSpec(tail=0.5, noise=0.01, loss_weighting="uniform"),
     )
-    back = config_from_dict(config_to_dict(cfg))
-    assert back == cfg
+    back, errs = decode(ExperimentConfig, config_to_dict(cfg))
+    assert errs == [] and back == cfg
     assert config_digest(back) == config_digest(cfg)
     assert json.loads(json.dumps(config_to_dict(cfg))) == config_to_dict(cfg)
 
@@ -143,27 +143,68 @@ def test_config_validation():
 
 def test_batch_determinism_and_weights():
     cfg = _tiny(seed=4)
-    teacher = _init_layers(cfg.widths, cfg.seed, "teacher")
-    x1, t1, w1 = _batch(cfg, teacher, "train", 3, 32)
-    x2, t2, w2 = _batch(cfg, teacher, "train", 3, 32)
+    task = _TeacherStudent(cfg)
+    x1, (t1, w1) = task.batch("train", 3, 32)
+    x2, (t2, w2) = _TeacherStudent(cfg).batch("train", 3, 32)
     assert np.array_equal(x1, x2) and np.array_equal(t1, t2)
     assert np.array_equal(w1, w2)
     assert w1.shape == (32, 1)
     assert not np.allclose(w1, 1.0)  # per-sample weighting active
-    x3, _, _ = _batch(cfg, teacher, "train", 4, 32)
+    x3, _ = task.batch("train", 4, 32)
     assert not np.array_equal(x1, x3)
-    xv, _, _ = _batch(cfg, teacher, "val", 3, 32)
+    xv, _ = task.batch("val", 3, 32)
     assert not np.array_equal(x1, xv)
-    uni = replace(cfg, task=TaskSpec(loss_weighting="uniform"))
-    _, _, wu = _batch(uni, teacher, "train", 3, 32)
+    uni = _TeacherStudent(replace(cfg, task=TaskSpec(loss_weighting="uniform")))
+    _, (_, wu) = uni.batch("train", 3, 32)
     assert np.all(wu == 1.0)
+    # with no tails every scale is exactly 1: the inputs are the raw draws
+    flat = _TeacherStudent(replace(cfg, task=TaskSpec(tail=0.0, feature_tail=0.0)))
+    x0, (_, w0) = flat.batch("train", 3, 32)
+    assert np.array_equal(x0, normals(stream_key("data", "train", 4, 3), (32, 8)))
+    assert np.all(w0 == 1.0)
+
+
+def test_loss_grad_is_the_gradient_of_the_loss():
+    task = _TeacherStudent(_tiny(seed=4))
+    _, (t, w) = task.batch("train", 0, 6)
+    y = t + np.random.default_rng(0).standard_normal(t.shape)
+    g, h = task.loss_grad(y, t, w), 1e-6
+    for i, j in np.ndindex(*y.shape):
+        e = np.zeros_like(y)
+        e[i, j] = h
+        fd = (task.loss(y + e, t, w) - task.loss(y - e, t, w)) / (2 * h)
+        assert fd == pytest.approx(g[i, j], rel=1e-5, abs=1e-9)
+
+
+def test_student_starts_near_the_teacher():
+    task = _TeacherStudent(_tiny(task=TaskSpec(init_spread=0.0)))
+    assert all(np.array_equal(s.weights, t.weights)
+               for s, t in zip(task.student, task.teacher))
+    far = _TeacherStudent(_tiny(task=TaskSpec(init_near_teacher=False)))
+    assert not np.allclose(far.student[0].weights, far.teacher[0].weights)
 
 
 def test_exempt_layers_run_wide():
     cfg = ExperimentConfig(widths=(8, 8, 8), exempt=ExemptionRule(0.5, "last"))
-    pols = _layer_policies(cfg)
-    assert pols[0].quantize is True
-    assert pols[1].quantize is False
+    train, val = _layer_policies(cfg, None)(0)
+    assert [p.quantize for p in train] == [True, False]
+    assert [p.quantize for p in val] == [True, False]
+    assert [p.collect_stats for p in val] == [False, False]
+
+
+def test_layer_policies_are_built_once_per_phase(monkeypatch):
+    # a run switched at step 1 has two phases, each with its training and
+    # validation policies; rebuilding them per step made 19 or more per layer
+    made = []
+    real = PrecisionPolicy.__post_init__
+    monkeypatch.setattr(PrecisionPolicy, "__post_init__",
+                        lambda self: made.append(self) or real(self))
+    cfg = replace(reference_config(0), steps=20,
+                  switch=SwitchSpec(step=1, scope="forward"))
+    made.clear()
+    rec = run_experiment(cfg)
+    assert rec.switch_step == 1 and rec.diverged_at is None
+    assert len(made) <= 4 * (len(cfg.widths) - 1)
 
 
 def test_tiny_run_determinism():
@@ -193,12 +234,49 @@ def test_switch_at_zero_matches_wide():
     assert rs.switch_step == 0
 
 
+def _init_spread(spread):
+    return lambda monkeypatch: _tiny(task=TaskSpec(init_spread=spread))
+
+
+def _nonfinite_grad_at_2(monkeypatch):
+    def bwd(ctx, dy):
+        dx, dw, traces = linear.backward(ctx, dy)
+        return dx, (np.full_like(dw, np.nan) if ctx.step == 2 else dw), traces
+    monkeypatch.setattr(harness, "backward", bwd)
+    return _tiny(val_every=10)  # no validation pass before the end
+
+
+def _quantization_error_at_2(monkeypatch):
+    def fwd(layer, x, policy, step=0):
+        if step == 2:
+            raise NonFiniteInputError("non-finite value at flat index 0: nan")
+        return linear.forward(layer, x, policy, step=step)
+    monkeypatch.setattr(harness, "forward", fwd)
+    return _tiny(val_every=10)
+
+
+# cause: (the diverging run's config, given monkeypatch; the step it
+# diverges at; the number of train losses it keeps)
+_DIVERGENCE_CAUSES = {
+    "loss_above_1e30": (_init_spread(1e20), 0, 1),  # a finite loss near 1e40
+    "nonfinite_loss": (_init_spread(1e200), 0, 1),
+    "nonfinite_grad": (_nonfinite_grad_at_2, 2, 3),
+    "quantization_error": (_quantization_error_at_2, 2, 2),
+}
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-def test_divergence_contained():
-    cfg = _tiny(task=TaskSpec(init_spread=1e200))
-    rec = run_experiment(cfg)
-    assert rec.diverged_at == 0
-    assert math.isinf(rec.final_loss)
+@pytest.mark.parametrize("cause", sorted(_DIVERGENCE_CAUSES))
+def test_divergence_contained(cause, monkeypatch):
+    make, step, kept = _DIVERGENCE_CAUSES[cause]
+    rec = run_experiment(make(monkeypatch))
+    assert rec.diverged_at == step
+    assert len(rec.train_losses) == kept
+    if cause == "loss_above_1e30":
+        assert 1e30 < rec.train_losses[0] < math.inf
+    assert all(math.isfinite(v) for v in rec.train_losses[:step])
+    assert rec.final_loss == math.inf
+    assert rec.val_curve == []
     assert rec.to_json()  # still serializes
 
 
@@ -264,6 +342,16 @@ def test_stats_off_run_keeps_no_trace_summary():
     assert off.trace_summary == {"inconsistent_dgrads": 0}
     assert off.train_losses == on.train_losses
     assert set(on.trace_summary) == {"fprop", "dgrad", "wgrad", "inconsistent_dgrads"}
+
+
+def test_stats_off_run_counts_inconsistent_dgrads():
+    # Dgrad-only RHT makes every Dgrad of the three quantized layers
+    # requantize the weights; the count does not need the per-GEMM stats
+    cfg = reference_config(0)
+    cfg = replace(cfg, steps=3, policy=replace(
+        cfg.policy, rht_gemms=frozenset({GemmKind.DGRAD})))
+    assert run_experiment(cfg).trace_summary["inconsistent_dgrads"] == 9
+    assert run_experiment(_stats_off(cfg)).trace_summary == {"inconsistent_dgrads": 9}
 
 
 def test_trace_summary_sums_the_traces(monkeypatch):
@@ -436,13 +524,12 @@ _SOMETIMES_VALID = [-1, 0, 1.5, True, None, []]
 @given(cfg=_configs())
 def test_schema_round_trip_and_dotted_paths(cfg):
     doc = config_to_dict(cfg)
-    assert validate_config(doc) == []
-    back = config_from_dict(json.loads(json.dumps(doc)))
-    assert back == cfg
+    back, errs = decode(ExperimentConfig, json.loads(json.dumps(doc)))
+    assert errs == [] and back == cfg
     assert config_digest(back) == config_digest(cfg)
     for path in _leaves(doc):
         for i, bad in enumerate(_NEVER_VALID + _SOMETIMES_VALID):
-            msgs = validate_config(_with_leaf(doc, path, bad))
+            _, msgs = decode(ExperimentConfig, _with_leaf(doc, path, bad))
             assert msgs or i >= len(_NEVER_VALID), (path, bad)
             assert all(m.startswith((f"{path}:", f"{path}.")) for m in msgs), (
                 path, bad, msgs)
