@@ -14,6 +14,7 @@ byte for byte.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -312,95 +313,123 @@ def _layer_policies(cfg: ExperimentConfig, switch_step: int | None):
     return lambda step: phases[switch_step is not None and step >= switch_step]
 
 
+class _Run:
+    """A training run after the updates of every step before next_step,
+    with the validation due at next_step not yet run.  Forks share the task
+    and the validation batch, read-only; the rest (the student, the Adam
+    moments, the record so far) belongs to the run."""
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.task = _TeacherStudent(cfg)
+        self.val = self.task.batch("val", 0, cfg.val_batch)
+        self.student = copy.deepcopy(self.task.student)
+        self.adam_m = [np.zeros_like(l.weights) for l in self.student]
+        self.adam_v = [np.zeros_like(l.weights) for l in self.student]
+        self.train_losses, self.val_curve = [], []
+        # per kind: [sum of rel_fro_error, operands, saturated, underflow_to_zero]
+        self.totals = {k: [0.0, 0, 0, 0] for k in GemmKind}
+        self.inconsistent_dgrads, self.next_step = 0, 0
+        self.diverged_at: int | None = None
+        self._configure(cfg)
+
+    def _configure(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self.switch_step = cfg.switch and cfg.switch.resolve_step(cfg.steps)
+        self.policies = _layer_policies(cfg, self.switch_step)
+
+    def fork(self, cfg: ExperimentConfig) -> "_Run":
+        """This run continued under cfg, which must train as this run's config
+        up to next_step; the copy shares nothing either run mutates."""
+        run = copy.deepcopy(self, {id(self.task): self.task, id(self.val): self.val})
+        run._configure(cfg)
+        return run
+
+    def _validate(self, step: int) -> list:
+        """[step, validation loss] under step's validation policies."""
+        yv, _ = _network_forward(self.student, self.val[0], self.policies(step)[1], step)
+        return [step, self.task.loss(yv, *self.val[1])]
+
+    def advance(self, to: int):
+        """Run each step from next_step up to (not including) to: the
+        validation due at it, then its update; a diverged run stays put."""
+        if self.diverged_at is not None:
+            return
+        cfg, task, student = self.cfg, self.task, self.student
+        b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+        for step in range(self.next_step, to):
+            if step and step % cfg.val_every == 0:
+                self.val_curve.append(self._validate(step))
+            x, target = task.batch("train", step, cfg.batch_size)
+            grads = None
+            try:
+                y, ctxs = _network_forward(student, x, self.policies(step)[0], step)
+                loss = task.loss(y, *target)
+                self.train_losses.append(loss)
+                if math.isfinite(loss) and loss <= 1e30:
+                    g = task.loss_grad(y, *target)
+                    grads = [None] * len(student)
+                    for i in range(len(student) - 1, -1, -1):
+                        # no layer takes layer 0's input gradient
+                        dx, dw, traces = backward(ctxs[i], g, need_dx=i > 0)
+                        grads[i] = dw
+                        for tr in (*traces, ctxs[i].trace):
+                            if tr is None:
+                                continue
+                            ops, tot = tr.stats.values(), self.totals[tr.kind]
+                            # a trace's errors are summed before they join the
+                            # total: the pinned fingerprints fix that order
+                            tot[0] += sum(s.rel_fro_error for s in ops)
+                            tot[1] += len(ops)
+                            tot[2] += sum(s.saturated for s in ops)
+                            tot[3] += sum(s.underflow_to_zero for s in ops)
+                        if ctxs[i].dgrad_consistent is False:
+                            self.inconsistent_dgrads += 1
+                        if i:  # the layer's input is the ReLU of the one before
+                            g = dx * (ctxs[i].x > 0)
+            except QuantizationError:
+                grads = None
+            # the one divergence exit: no gradients (an exploding or non-finite
+            # loss, or a QuantizationError), or a non-finite one
+            if grads is None or any(not np.isfinite(gr).all() for gr in grads):
+                self.diverged_at = step
+                break
+            lr = cfg.lr.lr_at(step, cfg.steps)
+            tpow = step + 1
+            for i, layer in enumerate(student):
+                self.adam_m[i] = b1 * self.adam_m[i] + (1 - b1) * grads[i]
+                self.adam_v[i] = b2 * self.adam_v[i] + (1 - b2) * grads[i] ** 2
+                mhat = self.adam_m[i] / (1 - b1 ** tpow)
+                vhat = self.adam_v[i] / (1 - b2 ** tpow)
+                layer.weights = layer.weights - lr * (
+                    mhat / (np.sqrt(vhat) + eps)
+                    + cfg.weight_decay * layer.weights)
+            self.next_step = step + 1
+
+    def finish(self) -> RunRecord:
+        """Advance to the last step and validate there; returns the record."""
+        cfg = self.cfg
+        self.advance(cfg.steps)
+        val_curve, final = self.val_curve, float("inf")
+        if self.diverged_at is None:
+            val_curve = val_curve + [self._validate(cfg.steps)]
+            final = val_curve[-1][1]
+        summary = {k.value: {"mean_quant_error": err / n, "saturated": sat,
+                             "underflow_to_zero": under}
+                   for k, (err, n, sat, under) in self.totals.items() if n}
+        summary["inconsistent_dgrads"] = self.inconsistent_dgrads
+        return RunRecord(
+            config_digest=config_digest(cfg), seed=cfg.seed, final_loss=final,
+            train_losses=self.train_losses, val_curve=val_curve,
+            diverged_at=self.diverged_at, switch_step=self.switch_step,
+            trace_summary=summary)
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     """Train the student and report validation losses of the network at its
     configured precision.  Divergence (an exploding or non-finite loss, a
     non-finite gradient, or a non-finite tensor reaching a quantizer) stops
     the run and is recorded, never raised."""
-    task = _TeacherStudent(cfg)
-    student = task.student
-    switch_step = (None if cfg.switch is None
-                   else cfg.switch.resolve_step(cfg.steps))
-    policies = _layer_policies(cfg, switch_step)
-
-    xv, target_v = task.batch("val", 0, cfg.val_batch)
-
-    adam_m = [np.zeros_like(l.weights) for l in student]
-    adam_v = [np.zeros_like(l.weights) for l in student]
-    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
-
-    train_losses: list[float] = []
-    val_curve: list[list] = []
-    diverged_at: int | None = None
-    # per kind: [sum of rel_fro_error, operands, saturated, underflow_to_zero]
-    totals = {k: [0.0, 0, 0, 0] for k in GemmKind}
-    inconsistent_dgrads = 0
-
-    for step in range(cfg.steps):
-        x, target = task.batch("train", step, cfg.batch_size)
-        grads = None
-        try:
-            y, ctxs = _network_forward(student, x, policies(step)[0], step)
-            loss = task.loss(y, *target)
-            train_losses.append(loss)
-            if math.isfinite(loss) and loss <= 1e30:
-                g = task.loss_grad(y, *target)
-                grads = [None] * len(student)
-                for i in range(len(student) - 1, -1, -1):
-                    dx, dw, traces = backward(ctxs[i], g)
-                    grads[i] = dw
-                    for tr in (*traces, ctxs[i].trace):
-                        if tr is None:
-                            continue
-                        ops, tot = tr.stats.values(), totals[tr.kind]
-                        # a trace's errors are summed before they join the
-                        # total: the pinned fingerprints fix that order
-                        tot[0] += sum(s.rel_fro_error for s in ops)
-                        tot[1] += len(ops)
-                        tot[2] += sum(s.saturated for s in ops)
-                        tot[3] += sum(s.underflow_to_zero for s in ops)
-                    if ctxs[i].dgrad_consistent is False:
-                        inconsistent_dgrads += 1
-                    if i:  # the layer's input is the ReLU of the one before
-                        g = dx * (ctxs[i].x > 0)
-        except QuantizationError:
-            grads = None
-        # the one divergence exit: no gradients (an exploding or non-finite
-        # loss, or a QuantizationError), or a non-finite one
-        if grads is None or any(not np.isfinite(gr).all() for gr in grads):
-            diverged_at = step
-            break
-        lr = cfg.lr.lr_at(step, cfg.steps)
-        tpow = step + 1
-        for i, layer in enumerate(student):
-            adam_m[i] = b1 * adam_m[i] + (1 - b1) * grads[i]
-            adam_v[i] = b2 * adam_v[i] + (1 - b2) * grads[i] ** 2
-            mhat = adam_m[i] / (1 - b1 ** tpow)
-            vhat = adam_v[i] / (1 - b2 ** tpow)
-            layer.weights = layer.weights - lr * (
-                mhat / (np.sqrt(vhat) + eps)
-                + cfg.weight_decay * layer.weights)
-        if (step + 1) % cfg.val_every == 0 or step + 1 == cfg.steps:
-            yv, _ = _network_forward(student, xv, policies(step + 1)[1], step + 1)
-            val_curve.append([step + 1, task.loss(yv, *target_v)])
-
-    final = val_curve[-1][1] if diverged_at is None else float("inf")
-
-    summary = {k.value: {"mean_quant_error": err / n, "saturated": sat,
-                         "underflow_to_zero": under}
-               for k, (err, n, sat, under) in totals.items() if n}
-    summary["inconsistent_dgrads"] = inconsistent_dgrads
-
-    return RunRecord(
-        config_digest=config_digest(cfg),
-        seed=cfg.seed,
-        final_loss=final,
-        train_losses=train_losses,
-        val_curve=val_curve,
-        diverged_at=diverged_at,
-        switch_step=switch_step,
-        trace_summary=summary,
-    )
+    return _Run(cfg).finish()
 
 
 def relative_loss_difference(baseline: float, experiment: float) -> float:
@@ -473,6 +502,11 @@ def run_ablation_suite(base: ExperimentConfig, variant_names=None,
     Every variant reuses the base config with one axis changed; the first
     row is the base itself (rel diff 0 by construction).  Divergence shows
     up as an infinite mean loss, not an exception.
+
+    A variant that differs from a base without a switch only in its switch
+    trains exactly as the base up to its switch step, so per seed it forks
+    the base run there instead of retraining that prefix.  Every record is
+    byte-identical to run_experiment's for the same config and seed.
     """
     if variant_names is None:
         variant_names = ["no_sr", "no_rht", "no_2d", "mxfp4"]
@@ -480,9 +514,22 @@ def run_ablation_suite(base: ExperimentConfig, variant_names=None,
     if unknown:
         raise KeyError(f"unknown ablation axes: {unknown}")
 
+    named = [("base", base), *((n, VARIANTS[n](base)) for n in variant_names)]
+    # config index -> switch step, for the variants that fork the base run
+    forks = {i: cfg.switch.resolve_step(cfg.steps) for i, (_, cfg) in enumerate(named)
+             if cfg.switch is not None and replace(cfg, switch=None) == base}
+    records = [[] for _ in named]
+    for s in seeds:
+        runs = {0: _Run(replace(base, seed=s))} if forks else {}
+        for i in sorted(forks, key=forks.get):
+            runs[0].advance(forks[i])
+            runs[i] = runs[0].fork(replace(named[i][1], seed=s))
+        for i, (_, cfg) in enumerate(named):
+            run = runs.pop(i, None)
+            records[i].append(run.finish() if run else run_experiment(replace(cfg, seed=s)))
+
     rows = []
-    for name, cfg in [("base", base), *((n, VARIANTS[n](base)) for n in variant_names)]:
-        recs = [run_experiment(replace(cfg, seed=s)) for s in seeds]
+    for (name, _), recs in zip(named, records):
         losses = [r.final_loss for r in recs]
         mean = float(np.mean(losses))
         # 0.0 for the base itself, even a diverged one (inf vs inf is NaN)

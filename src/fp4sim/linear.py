@@ -241,7 +241,7 @@ def forward(layer: LinearLayerState, x, policy: PrecisionPolicy,
                          qweight=qw if reusable else None, trace=trace)
 
 
-def backward(ctx: FwdContext, dy):
+def backward(ctx: FwdContext, dy, need_dx: bool = True):
     """Gradients (dx, dW, traces) for the saved forward call: the traces
     of Dgrad and Wgrad (None with stats off), or [] when the backward pass
     runs wide.
@@ -251,16 +251,19 @@ def backward(ctx: FwdContext, dy):
     otherwise the weights are requantized along the output dimension.
     Wgrad (dW = dy.T @ x) contracts the batch.  All stochastic streams are
     keyed by (seed, layer, step, operand tag), so recomputing this backward
-    gives identical bits.
+    gives identical bits.  With need_dx false, Dgrad runs only for the
+    trace of a quantized pass with stats on; otherwise dx is None.
     """
     policy, layer, step, x = ctx.policy, ctx.layer, ctx.step, ctx.x
     dy = np.asarray(dy, dtype=np.float64)
     if not (policy.quantize and policy.quantize_backward):
-        return dy @ layer.weights, dy.T @ x, []
+        return dy @ layer.weights if need_dx else None, dy.T @ x, []
     li = layer.layer_index
     consistent = ctx.dgrad_consistent
-    dx, dgrad, _ = _gemm(policy, GemmKind.DGRAD, li, step, dy, layer.weights,
-                         ctx.qweight if consistent else None, consistent)
+    dx = dgrad = None
+    if need_dx or policy.collect_stats:
+        dx, dgrad, _ = _gemm(policy, GemmKind.DGRAD, li, step, dy, layer.weights,
+                             ctx.qweight if consistent else None, consistent)
     dW, wgrad, _ = _gemm(policy, GemmKind.WGRAD, li, step, dy.T, x)
     return dx, dW, [dgrad, wgrad]
 

@@ -24,10 +24,10 @@ from fp4sim.codecs import E2M1_GRID, Stochastic, decode_e2m1, encode_e2m1, sr_ro
 from fp4sim.gemm import scaled_gemm
 from fp4sim.hadamard import HadamardSpec, build_hadamard, rht_pair
 from fp4sim.harness import (
-    VARIANTS,
     config_digest,
     paired_wins,
     reference_config,
+    run_ablation_suite,
     run_experiment,
 )
 from fp4sim.linear import (
@@ -193,20 +193,13 @@ def test_criterion_08():
 
 @criterion(9, "recipe ablations ordered as calibrated over five seeds")
 def test_criterion_09():
-    seeds = range(5)
-
-    def runs(make):
-        recs = []
-        for s in seeds:
-            cfg = reference_config(s)
-            cfg = replace(cfg, policy=replace(cfg.policy, collect_stats=False))
-            recs.append(run_experiment(make(cfg)))
-        return recs
-
-    base = runs(lambda c: c)
-    stripped = runs(VARIANTS["stripped"])
-    mx = runs(VARIANTS["mxfp4"])
-    switch = runs(VARIANTS["switch_fwd_80"])
+    # the suite's records are run_experiment's byte for byte (test_harness
+    # checks it); its switch runs continue their base runs
+    cfg = reference_config(0)
+    cfg = replace(cfg, policy=replace(cfg.policy, collect_stats=False))
+    rows = run_ablation_suite(cfg, ["stripped", "mxfp4", "switch_fwd_80"],
+                              seeds=range(5))
+    base, stripped, mx, switch = (row.records for row in rows)
     assert all(r.diverged_at is None for r in base + stripped + mx + switch)
     assert paired_wins(base, stripped) >= 4   # full recipe beats none of it
     assert paired_wins(base, mx) >= 4         # fractional scales beat p2-only

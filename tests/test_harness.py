@@ -1,6 +1,7 @@
 """Training harness: config plumbing, schedules, determinism, divergence
 containment, and the calibrated loss bands of the reference setup."""
 
+import hashlib
 import json
 import math
 import types
@@ -239,8 +240,8 @@ def _init_spread(spread):
 
 
 def _nonfinite_grad_at_2(monkeypatch):
-    def bwd(ctx, dy):
-        dx, dw, traces = linear.backward(ctx, dy)
+    def bwd(ctx, dy, need_dx=True):
+        dx, dw, traces = linear.backward(ctx, dy, need_dx)
         return dx, (np.full_like(dw, np.nan) if ctx.step == 2 else dw), traces
     monkeypatch.setattr(harness, "backward", bwd)
     return _tiny(val_every=10)  # no validation pass before the end
@@ -354,6 +355,24 @@ def test_stats_off_run_counts_inconsistent_dgrads():
     assert run_experiment(_stats_off(cfg)).trace_summary == {"inconsistent_dgrads": 9}
 
 
+def test_stats_off_backward_skips_layer_0_dgrad(monkeypatch):
+    # no layer takes layer 0's input gradient: with stats off its Dgrad does
+    # not run; with stats on it runs, since its trace enters trace_summary
+    kinds = []
+    real = linear._gemm
+
+    def gemm(policy, kind, *args, **kw):
+        kinds.append(kind)
+        return real(policy, kind, *args, **kw)
+
+    monkeypatch.setattr(linear, "_gemm", gemm)
+    cfg = replace(reference_config(0), steps=3)
+    for run_cfg, dgrads in ((_stats_off(cfg), 6), (cfg, 9)):
+        kinds.clear()
+        run_experiment(run_cfg)
+        assert kinds.count(GemmKind.DGRAD) == dgrads
+
+
 def test_trace_summary_sums_the_traces(monkeypatch):
     # recompute the per-kind summary from every trace the run made, taken in
     # the run's order: each layer's Dgrad and Wgrad, then its Fprop
@@ -364,8 +383,8 @@ def test_trace_summary_sums_the_traces(monkeypatch):
         made.append(ctx.trace)
         return y, ctx
 
-    def bwd(ctx, dy):
-        dx, dw, trs = linear.backward(ctx, dy)
+    def bwd(ctx, dy, need_dx=True):
+        dx, dw, trs = linear.backward(ctx, dy, need_dx)
         traces.extend((*trs, ctx.trace))
         return dx, dw, trs
 
@@ -400,6 +419,79 @@ def test_format_suite_table():
     assert len(lines) == 2 + len(rows)
     assert lines[2].startswith("base")
     assert lines[3].startswith("no_sr")
+
+
+def _suite_matches_run_experiment(base, names, seeds=(0, 1)):
+    """Run the suite; every record must equal an independent run's bytes."""
+    rows = run_ablation_suite(base, names, seeds=seeds)
+    assert [r.name for r in rows] == ["base", *names]
+    for row, cfg in zip(rows, [base, *(VARIANTS[n](base) for n in names)]):
+        assert [r.seed for r in row.records] == list(seeds)
+        for s, rec in zip(seeds, row.records):
+            assert rec.to_json() == run_experiment(replace(cfg, seed=s)).to_json(), (
+                row.name, s)
+    return rows
+
+
+def _switch_variant(step, scope="forward"):
+    return lambda cfg: replace(cfg, switch=SwitchSpec(step=step, scope=scope))
+
+
+@pytest.mark.parametrize("stats", [True, False])
+def test_suite_forks_match_run_experiment(stats, monkeypatch):
+    # the switch falls on a validation step (16 of 20, every 4); fractional
+    # and integer switch steps, including 0 and steps, fork in one suite
+    for name, step, scope in (("sw_0", 0, "both"), ("sw_7", 7, "backward"),
+                              ("sw_half", 0.5, "forward"), ("sw_end", 20, "both")):
+        monkeypatch.setitem(VARIANTS, name, _switch_variant(step, scope))
+    cfg = replace(reference_config(0), steps=20, val_every=4)
+    if not stats:
+        cfg = _stats_off(cfg)
+    rows = _suite_matches_run_experiment(
+        cfg, ["switch_fwd_80", "sw_end", "no_sr", "sw_0", "sw_7", "sw_half"])
+    assert [r.records[0].switch_step for r in rows] == [None, 16, 20, None, 0, 7, 10]
+
+
+@pytest.mark.parametrize("switch", [1, 4])
+def test_suite_fork_of_a_diverging_base(switch, monkeypatch):
+    # the base diverges at step 2: a fork at 4 inherits the divergence, a
+    # fork at 1 diverges on its own
+    monkeypatch.setitem(VARIANTS, "sw", _switch_variant(switch))
+    rows = _suite_matches_run_experiment(_nonfinite_grad_at_2(monkeypatch), ["sw"])
+    assert [r.diverged for r in rows] == [2, 2]
+
+
+def test_suite_trains_a_switch_prefix_once(monkeypatch):
+    # base and switch_fwd_80 over 10 steps: the switch run continues the
+    # base run from step 8 and draws 2 training batches, not 10
+    purposes = []
+    real = _TeacherStudent.batch
+
+    def batch(self, purpose, *args):
+        purposes.append(purpose)
+        return real(self, purpose, *args)
+
+    monkeypatch.setattr(_TeacherStudent, "batch", batch)
+    run_ablation_suite(_stats_off(replace(reference_config(0), steps=10)),
+                       ["switch_fwd_80"], seeds=(0,))
+    assert purposes.count("train") == 10 + 2
+
+
+# sha256 of RunRecord.to_json() for reference_config(0), 40 steps, stats off
+_STATS_OFF_RECORDS = {
+    "base": "1f2b0eb21d762ecf52d95419aa79dfbce0ed3d6fe039b999e6ea5abe913996d2",
+    "mxfp4": "0dce2e8b9b07da781ed8c7a724557a77ecd54783aada9f58455d7c576cc252c1",
+    "stripped": "7baafcf9fdc9b652c919e1f9c80ff9cc6da60ad444dca0d81bc1e28de51e5666",
+    "switch_fwd_80": "6dc37257e98ddc111b1683a4a7cfd7ac7789abcd05312f89886909a012536243",
+}
+
+
+def test_stats_off_records_pinned():
+    base = _stats_off(replace(reference_config(0), steps=40))
+    rows = run_ablation_suite(base, ["mxfp4", "stripped", "switch_fwd_80"])
+    got = {r.name: hashlib.sha256(r.records[0].to_json().encode()).hexdigest()
+           for r in rows}
+    assert got == _STATS_OFF_RECORDS
 
 
 def test_reference_band_regression():
