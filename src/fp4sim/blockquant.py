@@ -2,11 +2,11 @@
 
 A format is its block length, scale codec, and scale rule.  quantize cuts
 the padded tensor into blocks and takes each block's amax_b = max|x_i|; the
-scale rule turns these into the stored scale codes, the encode multipliers
-s_enc_b and the tensor decode scale; the codes are e2m1(x_i * s_enc_b),
-nearest-even or stochastic.  The result holds what a container stores:
-codes, scale codes and the tensor decode scale, from which
-encode_multipliers recovers each block's multiplier.
+scale rule turns these into what a container stores, the scale codes and
+the tensor decode scale.  Each block's encode multiplier s_enc_b is derived
+from those stored fields, by the one formula encode_multipliers also uses,
+so the two agree by construction; the codes are e2m1(x_i * s_enc_b),
+nearest-even or stochastic.
 
 * ``NVFP4``: blocks of 16 share an E4M3 (fractional) scale, plus one FP32
   tensor-level scale chosen so the largest block scale lands at the top of
@@ -74,7 +74,6 @@ from .codecs import (
     E4M3_MAX,
     E4M3_SMALLEST_POSITIVE,
     E4M3_SMALLEST_POSITIVE_CODE,
-    E4M3_VALUES,
     NEAREST,
     SCALE_VALUES,
     InvalidCodeError,
@@ -99,8 +98,9 @@ class LayoutError(QuantizationError):
 class FormatSpec:
     """Name, block length, scale codec, whether a tensor-level decode scale
     accompanies the block scales, and the scale rule: finite block amaxes ->
-    (scale codes, encode multipliers, tensor decode scale or None).  The
-    rule stays out of the repr, which would print its address."""
+    (scale codes, tensor decode scale or None), what a container stores and
+    quantize derives the multipliers from.  The rule stays out of the repr,
+    which would print its address."""
 
     name: str
     block_len: int
@@ -144,22 +144,20 @@ def global_encode_scale(amax_tensor: float) -> tuple[float, float]:
     return s_enc, 1.0 / s_enc
 
 
-def nvfp4_block_scales(amax_blocks: np.ndarray, s_enc: float,
-                       s_dec: float) -> tuple[np.ndarray, np.ndarray]:
-    """Stored E4M3 scale codes and per-block encode multipliers.
+def nvfp4_block_scales(amax_blocks: np.ndarray, s_enc: float) -> np.ndarray:
+    """Stored E4M3 scale codes: the ideal decode scale amax_b / 6,
+    pre-multiplied by s_enc and rounded to E4M3.
 
-    The ideal decode scale amax_b / 6 is pre-multiplied by s_enc, rounded to
-    E4M3, and inverted against s_dec so encode * decode is exactly the
-    stored-scale product.  All-zero blocks store the smallest positive scale
-    code (a zero code would make the encode multiplier undefined); blocks
-    whose scale underflows E4M3 to zero get a zero multiplier, which zeroes
-    their codes.  amax_blocks must be finite; it is not checked again.
+    All-zero blocks store the smallest positive scale code (a zero code
+    would make the encode multiplier undefined); blocks whose scale
+    underflows E4M3 to zero get a zero multiplier, which zeroes their
+    codes.  amax_blocks must be finite; it is not checked again.
     """
     ideal = amax_blocks / E2M1_MAX
     ideal *= s_enc
-    codes = _encode_e4m3(ideal)
+    codes = _encode_e4m3(ideal)  # never a NaN code
     np.copyto(codes, E4M3_SMALLEST_POSITIVE_CODE, where=amax_blocks == 0)
-    return codes, _multipliers(E4M3_VALUES.take(codes), s_dec)  # never a NaN code
+    return codes
 
 
 def _multipliers(decoded: np.ndarray, s_dec: float) -> np.ndarray:
@@ -168,18 +166,17 @@ def _multipliers(decoded: np.ndarray, s_dec: float) -> np.ndarray:
     return np.divide(1.0, product, out=np.zeros(product.shape), where=decoded > 0)
 
 
-def _nvfp4_scale_rule(amax_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def _nvfp4_scale_rule(amax_b: np.ndarray) -> tuple[np.ndarray, float]:
     s_enc, s_dec = global_encode_scale(float(amax_b.max()))
-    return (*nvfp4_block_scales(amax_b, s_enc, s_dec), s_dec)
+    return nvfp4_block_scales(amax_b, s_enc), s_dec
 
 
-def _mxfp4_scale_rule(amax_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, None]:
+def _mxfp4_scale_rule(amax_b: np.ndarray) -> tuple[np.ndarray, None]:
     # Round the ideal scale UP to a power of two: the scaled amax then never
     # exceeds 6, so encoding cannot saturate.  Scales below 2^-127 clamp to
     # it, including an ideal scale that underflows to zero (amax_b of a few
     # subnormals) and the zero scale of an all-zero block: both get code 0.
-    codes = encode_ue8m0_roundup(np.maximum(amax_b / E2M1_MAX, 2.0 ** -127))
-    return codes, 1.0 / SCALE_VALUES["ue8m0"].take(codes), None
+    return encode_ue8m0_roundup(np.maximum(amax_b / E2M1_MAX, 2.0 ** -127)), None
 
 
 NVFP4 = FormatSpec("nvfp4", 16, "e4m3", True, _nvfp4_scale_rule)
@@ -472,7 +469,10 @@ def quantize(x, fmt: FormatSpec, layout: ScalingLayout | None = None,
     bm = _block_map(x.shape, layout)
     xp = np.ascontiguousarray(_pad(x, bm))
     amax_b = _block_amax(x, xp, bm)
-    scale_codes, enc, s_dec = fmt.scale_rule(amax_b)  # elementwise over the grid
+    scale_codes, s_dec = fmt.scale_rule(amax_b)  # elementwise over the grid
+    # the scale rule's codes are valid: a plain take decodes them
+    enc = _multipliers(SCALE_VALUES[fmt.scale_codec].take(scale_codes),
+                       1.0 if s_dec is None else s_dec)
     # a copy of x is scaled in place instead of making a second full-size array
     scaled = xp if xp is not x else np.empty(bm.padded_shape)
     np.multiply(bm.view(xp), enc[:, None, :, None], out=bm.view(scaled))
@@ -481,13 +481,14 @@ def quantize(x, fmt: FormatSpec, layout: ScalingLayout | None = None,
 
 
 def encode_multipliers(q: QuantizedTensor) -> np.ndarray:
-    """Per-block encode multipliers over the block grid, recovered from the
+    """Per-block encode multipliers over the block grid, derived from the
     stored scale codes and tensor decode scale; what reads a tensor's
     multipliers reads them here.
 
-    They are bit for bit the multipliers the scale rule gave quantize, so
-    multiplying the original values by these reproduces exactly what the
-    encoder saw before E2M1 rounding.
+    quantize derives its multipliers from the same stored fields by the
+    same formula, so these are the encoder's by construction: multiplying
+    the original values by them reproduces exactly what the encoder saw
+    before E2M1 rounding.
     """
     return _multipliers(q.scale_values(), q.decode_scale)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import _CHUNK, stream_key, uniforms
+from .rng import _row_chunks, stream_key, uniforms
 from .schema import check_fields, raise_errors
 
 
@@ -102,24 +102,20 @@ def apply_rht_tiled(x, spec: HadamardSpec) -> np.ndarray:
     xr = x.reshape(m, k // d, d)
     # zeros_like's layout, as documented: sums downstream run in memory order
     out = np.empty_like(xr)
-    tiles = xr.shape[1]
-    # tiles per chunk times d is _CHUNK: one chunk's scratch (inputs,
-    # partial sums and a product buffer) is about 2.5 * _CHUNK doubles
-    per_chunk = max(1, _CHUNK // d)
-    ct = max(1, min(tiles, per_chunk))
-    cr = per_chunk // ct
-    size = d * min(m, cr) * ct
+    # one chunk's scratch (inputs, partial sums and a product buffer) is
+    # about 2.5 times the chunk, allocated once for the largest chunk
+    chunks = _row_chunks(xr)
+    size = xr[chunks[0]].size
     t_buf, acc_buf, prod_buf = np.empty(size), np.empty(size), np.empty(size // 2)
-    for r0 in range(0, m, cr):
-        for t0 in range(0, tiles, ct):
-            src = xr[r0:r0 + cr, t0:t0 + ct]
-            n = src.shape[0] * src.shape[1]
-            t = t_buf[:d * n].reshape(d, src.shape[0], src.shape[1])
-            np.copyto(t, src.transpose(2, 0, 1))
-            acc = acc_buf[:d * n].reshape(d, n)
-            _transform_tiles(t.reshape(d, n), h, acc,
-                             prod_buf[:d * n // 2].reshape(d // 2, n))
-            out[r0:r0 + cr, t0:t0 + ct] = acc.reshape(t.shape).transpose(1, 2, 0)
+    for s in chunks:
+        src = xr[s]
+        n = src.shape[0] * src.shape[1]
+        t = t_buf[:d * n].reshape(d, src.shape[0], src.shape[1])
+        np.copyto(t, src.transpose(2, 0, 1))
+        acc = acc_buf[:d * n].reshape(d, n)
+        _transform_tiles(t.reshape(d, n), h, acc,
+                         prod_buf[:d * n // 2].reshape(d // 2, n))
+        out[s] = acc.reshape(t.shape).transpose(1, 2, 0)
     return out.reshape(m, k)
 
 

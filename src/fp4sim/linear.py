@@ -116,17 +116,11 @@ class LinearLayerState:
 
 @dataclass
 class GemmTrace:
-    """Record of one quantized GEMM, per operand (by trace name): its
-    quantization stats, its "format/layout kind" and its rounding mode; and,
-    for a Dgrad given the forward weight encoding, whether it multiplied by
-    exactly those weight values: True when it reused the encoding, False
-    when it transformed both operands (None otherwise)."""
+    """Record of one quantized GEMM: the quantization stats of each operand,
+    keyed by its tensor role."""
 
     kind: GemmKind
     stats: dict
-    layouts: dict
-    rounding: dict
-    consistent_weights: bool | None = None
 
 
 @dataclass
@@ -154,13 +148,13 @@ class FwdContext:
         return GemmKind.DGRAD not in policy.rht_gemms
 
 
-# Per GEMM, the (trace name, tensor role, stream tag) of the left and the
-# right operand.  The left operand is scaled along its rows and the right one
-# along its columns, so scales always run along the contracted dimension.
+# Per GEMM, the (tensor role, stream tag) of the left and the right operand.
+# The left operand is scaled along its rows and the right one along its
+# columns, so scales always run along the contracted dimension.
 _OPERANDS = {
-    GemmKind.FPROP: (("input", "activations", "x"), ("weight", "weights", "w")),
-    GemmKind.DGRAD: (("grad_out", "gradients", "dy"), ("weight", "weights", "w")),
-    GemmKind.WGRAD: (("grad_out", "gradients", "dy"), ("input", "activations", "x")),
+    GemmKind.FPROP: (("activations", "x"), ("weights", "w")),
+    GemmKind.DGRAD: (("gradients", "dy"), ("weights", "w")),
+    GemmKind.WGRAD: (("gradients", "dy"), ("activations", "x")),
 }
 
 
@@ -184,8 +178,7 @@ def _instance_spec(policy: PrecisionPolicy, layer_index: int, step: int,
 
 
 def _gemm(policy: PrecisionPolicy, kind: GemmKind, layer_index: int, step: int,
-          a: np.ndarray, b: np.ndarray, qweight: QuantizedTensor | None = None,
-          consistent: bool | None = None):
+          a: np.ndarray, b: np.ndarray, qweight: QuantizedTensor | None = None):
     """a @ b as one quantized GEMM of the given kind; returns (product,
     trace, the right operand's encoding).  With stats off the trace is None.
 
@@ -194,30 +187,23 @@ def _gemm(policy: PrecisionPolicy, kind: GemmKind, layer_index: int, step: int,
     stochastic rounding keyed by (seed, layer, step, "kind/tag") when the
     policy lists its role.  qweight is the forward weight encoding, given
     only to a Dgrad that reuses it: its transpose view stands in for the
-    right operand.  consistent is the trace's consistent_weights.
+    right operand.
     """
     if kind in policy.rht_gemms:
         a, b = rht_pair(a, b, _instance_spec(policy, layer_index, step, kind))
-    trace = (GemmTrace(kind=kind, stats={}, layouts={}, rounding={},
-                       consistent_weights=consistent)
-             if policy.collect_stats else None)
+    trace = GemmTrace(kind=kind, stats={}) if policy.collect_stats else None
     qs = []
-    for (name, role, tag), values, orient in zip(_OPERANDS[kind], (a, b),
-                                                 (_as_rows, _as_cols)):
-        # a reused weight encoding was rounded by Fprop, under its stream
-        reused = role == "weights" and qweight is not None
-        stream = f"{GemmKind.FPROP.value if reused else kind.value}/{tag}"
-        mode = (Stochastic((policy.seed, layer_index, step, stream))
-                if role in policy.sr_roles else NEAREST)
-        if reused:
+    for (role, tag), values, orient in zip(_OPERANDS[kind], (a, b),
+                                           (_as_rows, _as_cols)):
+        if role == "weights" and qweight is not None:
             q = transpose_quantized_view(qweight)
         else:
+            mode = (Stochastic((policy.seed, layer_index, step, f"{kind.value}/{tag}"))
+                    if role in policy.sr_roles else NEAREST)
             layout = policy.weight_layout if role == "weights" else policy.act_grad_layout
             q = quantize(values, policy.fmt, orient(layout), mode)
         if trace is not None:
-            trace.stats[name] = quantization_stats(values, q)
-            trace.layouts[name] = f"{q.fmt.name}/{q.layout.kind}"
-            trace.rounding[name] = type(mode).__name__
+            trace.stats[role] = quantization_stats(values, q)
         qs.append(q)
     qa, qb = qs
     return scaled_gemm(qa, qb), trace, qb
@@ -259,11 +245,10 @@ def backward(ctx: FwdContext, dy, need_dx: bool = True):
     if not (policy.quantize and policy.quantize_backward):
         return dy @ layer.weights if need_dx else None, dy.T @ x, []
     li = layer.layer_index
-    consistent = ctx.dgrad_consistent
     dx = dgrad = None
     if need_dx or policy.collect_stats:
         dx, dgrad, _ = _gemm(policy, GemmKind.DGRAD, li, step, dy, layer.weights,
-                             ctx.qweight if consistent else None, consistent)
+                             ctx.qweight if ctx.dgrad_consistent else None)
     dW, wgrad, _ = _gemm(policy, GemmKind.WGRAD, li, step, dy.T, x)
     return dx, dW, [dgrad, wgrad]
 

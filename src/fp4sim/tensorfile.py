@@ -23,10 +23,12 @@ length; a length mismatch is a format error.  Writes go through a temp
 file and os.replace so readers never observe partial files.
 
 The reader also rejects, naming the field or byte offset: zero rows or
-cols, header fields that contradict the format, an nvfp4 tensor scale
-that is not positive or would decode past the float64 range, and block
-scale codes the encoders never write (E4M3 with the sign bit set or the
-NaN pattern, UE8M0 0xFF).  The last two are QuantizedTensor's own rules
+cols, header fields that contradict the format, a nonzero code in the
+zero padding (scaled_gemm contracts over padded blocks, so it would change
+products that dequantize does not show), an nvfp4 tensor scale that is
+not positive or would decode past the float64 range, and block scale
+codes the encoders never write (E4M3 with the sign bit set or the NaN
+pattern, UE8M0 0xFF).  The last two are QuantizedTensor's own rules
 (blockquant.check_tensor_scale, and the check at the first decode of the
 scale codes), which the reader applies on read and locates in the file.
 """
@@ -222,8 +224,16 @@ def read_tensor(path: str) -> np.ndarray | QuantizedTensor:
         scales = _payload_array(bm.grid_shape, np.uint8)
         _read_exact(f, scales, _HEADER.size + n_codes)
         _check_end(f, _HEADER.size + n_codes + scales.nbytes)
+    codes = _unpack_codes(packed, bm.padded_shape)
+    # only the padding is read: right of the tensor, then below it
+    pad = [*np.argwhere(codes[:rows, cols:]) + (0, cols),
+           *np.argwhere(codes[rows:]) + (rows, 0)]
+    if pad:  # the first in row-major order
+        (i, j), width = pad[0], codes.shape[1]
+        raise TensorFileError(f"nonzero code in the zero padding at byte "
+                              f"offset {_HEADER.size + (i * width + j) // 2}")
     q = QuantizedTensor(
-        shape=(rows, cols), codes=_unpack_codes(packed, bm.padded_shape),
+        shape=(rows, cols), codes=codes,
         scale_codes=scales, layout=layout, fmt=fmt,
         global_decode_scale=s_dec if fmt.has_tensor_scale else None)
     try:

@@ -86,10 +86,11 @@ def test_global_encode_scale_values():
 
 def test_nvfp4_block_scales_full_range_block():
     # block amax == tensor amax: the stored scale hits the E4M3 maximum
-    s_enc, s_dec = global_encode_scale(6.0)
-    codes, enc = nvfp4_block_scales(np.array([6.0]), s_enc, s_dec)
+    s_enc, _ = global_encode_scale(6.0)
+    codes = nvfp4_block_scales(np.array([6.0]), s_enc)
     assert decode_e4m3(codes)[0] == 448.0
-    assert enc[0] == pytest.approx(1.0, rel=1e-12)
+    q = quantize(np.array([[6.0] + [0.0] * 15]), NVFP4, rows1d(16))
+    assert encode_multipliers(q)[0, 0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_nvfp4_hand_block():

@@ -127,6 +127,15 @@ def test_exit_code_corrupt_container(tmp_path, capsys, fmt, offset_of, value, na
     assert not os.path.exists(tmp_path / "o.fp4t")
 
 
+def test_exit_code_nonzero_padding_code(tmp_path, capsys):
+    # a 16x20 tensor pads to 16x32: byte 46 holds padded codes 20 and 21
+    src = _corrupt_container(tmp_path, "nvfp4", lambda q: 46, bytes([0x07]),
+                             shape=(16, 20))
+    assert main(["dequantize", src, "--out", str(tmp_path / "o.fp4t")]) == 3
+    assert "zero padding at byte offset 46" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o.fp4t")
+
+
 def test_exit_code_empty_wide_container(tmp_path, capsys):
     p = str(tmp_path / "empty.fp4t")
     with open(p, "wb") as f:

@@ -376,7 +376,7 @@ def test_stats_off_backward_skips_layer_0_dgrad(monkeypatch):
 def test_trace_summary_sums_the_traces(monkeypatch):
     # recompute the per-kind summary from every trace the run made, taken in
     # the run's order: each layer's Dgrad and Wgrad, then its Fprop
-    made, traces = [], []
+    made, traces, ctxs = [], [], []
 
     def fwd(*args, **kw):
         y, ctx = linear.forward(*args, **kw)
@@ -386,6 +386,7 @@ def test_trace_summary_sums_the_traces(monkeypatch):
     def bwd(ctx, dy, need_dx=True):
         dx, dw, trs = linear.backward(ctx, dy, need_dx)
         traces.extend((*trs, ctx.trace))
+        ctxs.append(ctx)
         return dx, dw, trs
 
     monkeypatch.setattr(harness, "forward", fwd)
@@ -406,7 +407,7 @@ def test_trace_summary_sums_the_traces(monkeypatch):
             "saturated": sum(s.saturated for ops in stats for s in ops),
             "underflow_to_zero": sum(s.underflow_to_zero for ops in stats for s in ops),
         }
-    want["inconsistent_dgrads"] = sum(tr.consistent_weights is False for tr in traces)
+    want["inconsistent_dgrads"] = sum(ctx.dgrad_consistent is False for ctx in ctxs)
     assert rec.trace_summary == want
 
 

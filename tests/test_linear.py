@@ -8,7 +8,7 @@ import pytest
 
 import fp4sim.linear as linear_module
 from fp4sim.blockquant import MXFP4, NVFP4, cols1d, quantize, rows1d, square2d
-from fp4sim.codecs import E2M1_GRID
+from fp4sim.codecs import E2M1_GRID, Stochastic
 from fp4sim.hadamard import HadamardSpec, rht_pair as _rht_pair
 from fp4sim.harness import reference_config, run_experiment
 from fp4sim.linear import (
@@ -83,37 +83,53 @@ def test_default_forward_error_band():
     assert np.mean(errs) < 0.20
 
 
-def test_dgrad_reuses_forward_weights_square():
+def _record_views(monkeypatch):
+    """Wrap linear's transpose_quantized_view; the list gets each encoding
+    it is given."""
+    views = []
+    real = linear_module.transpose_quantized_view
+    monkeypatch.setattr(linear_module, "transpose_quantized_view",
+                        lambda q: views.append(q) or real(q))
+    return views
+
+
+def test_dgrad_reuses_forward_weights_square(monkeypatch):
+    views = _record_views(monkeypatch)
     rng = np.random.default_rng(3)
     layer = _layer(rng, 16, 16)
     x = rng.standard_normal((8, 16))
     pol = PrecisionPolicy(rht_gemms=frozenset())  # square weight tiles
     _, ctx = forward(layer, x, pol)
     assert ctx.qweight is not None
-    _, _, traces = backward(ctx, rng.standard_normal((8, 16)))
-    assert traces[0].consistent_weights is True
+    assert ctx.dgrad_consistent is True
+    backward(ctx, rng.standard_normal((8, 16)))
+    assert views == [ctx.qweight]
 
 
-def test_dgrad_rht_breaks_weight_reuse():
+def test_dgrad_rht_breaks_weight_reuse(monkeypatch):
+    views = _record_views(monkeypatch)
     rng = np.random.default_rng(4)
     layer = _layer(rng, 16, 16)
     x = rng.standard_normal((8, 16))
     pol = PrecisionPolicy(rht_gemms=frozenset({GemmKind.DGRAD}))
     _, ctx = forward(layer, x, pol)
     assert ctx.qweight is not None
-    _, _, traces = backward(ctx, rng.standard_normal((8, 16)))
-    assert traces[0].consistent_weights is False
+    assert ctx.dgrad_consistent is False
+    backward(ctx, rng.standard_normal((8, 16)))
+    assert views == []
 
 
-def test_rows_layout_has_no_reusable_encoding():
+def test_rows_layout_has_no_reusable_encoding(monkeypatch):
+    views = _record_views(monkeypatch)
     rng = np.random.default_rng(5)
     layer = _layer(rng, 16, 16)
     x = rng.standard_normal((8, 16))
     pol = PrecisionPolicy(weight_layout=rows1d(16), rht_gemms=frozenset())
     _, ctx = forward(layer, x, pol)
     assert ctx.qweight is None
-    _, _, traces = backward(ctx, rng.standard_normal((8, 16)))
-    assert traces[0].consistent_weights is None
+    assert ctx.dgrad_consistent is None
+    backward(ctx, rng.standard_normal((8, 16)))
+    assert views == []
 
 
 def test_chain_rule_metric_square_zero():
@@ -277,7 +293,30 @@ def test_fixed_signs_stable_per_instance_varies():
     assert not np.array_equal(z0, z9)
 
 
-def test_trace_contents():
+def _record_operands(monkeypatch):
+    """Wrap linear's quantize and scaled_gemm.  The first list gets the
+    ("format/layout kind", rounding mode type, stream tag or None) of each
+    operand quantize encodes, the second the "format/layout kind" pair of
+    each scaled_gemm's operands."""
+    quantized, gemms = [], []
+    real_quantize, real_gemm = linear_module.quantize, linear_module.scaled_gemm
+
+    def quantize_(x, fmt, layout, mode):
+        tag = mode.key_parts[-1] if isinstance(mode, Stochastic) else None
+        quantized.append((f"{fmt.name}/{layout.kind}", type(mode).__name__, tag))
+        return real_quantize(x, fmt, layout, mode)
+
+    def scaled_gemm_(qa, qb):
+        gemms.append(tuple(f"{q.fmt.name}/{q.layout.kind}" for q in (qa, qb)))
+        return real_gemm(qa, qb)
+
+    monkeypatch.setattr(linear_module, "quantize", quantize_)
+    monkeypatch.setattr(linear_module, "scaled_gemm", scaled_gemm_)
+    return quantized, gemms
+
+
+def test_trace_contents(monkeypatch):
+    quantized, gemms = _record_operands(monkeypatch)
     rng = np.random.default_rng(14)
     layer = _layer(rng, 16, 16)
     x = rng.standard_normal((16, 16))
@@ -285,12 +324,15 @@ def test_trace_contents():
     _, ctx = forward(layer, x, pol, step=0)
     tr = ctx.trace
     assert tr.kind is GemmKind.FPROP
-    assert tr.layouts == {"input": "nvfp4/rows", "weight": "nvfp4/square"}
-    assert tr.rounding == {"input": "NearestEven", "weight": "NearestEven"}
-    assert tr.stats["input"].rel_fro_error > 0.0
+    assert gemms == [("nvfp4/rows", "nvfp4/square")]
+    assert quantized == [("nvfp4/rows", "NearestEven", None),
+                         ("nvfp4/square", "NearestEven", None)]
+    assert tr.stats["activations"].rel_fro_error > 0.0
     _, _, traces = backward(ctx, rng.standard_normal((16, 16)))
-    assert traces[0].rounding["grad_out"] == "Stochastic"
-    assert traces[1].layouts == {"grad_out": "nvfp4/rows", "input": "nvfp4/cols"}
+    # Dgrad reuses the square weight tiles and encodes only its gradient
+    assert quantized[2][1:] == ("Stochastic", "dgrad/dy")
+    assert gemms[2] == ("nvfp4/rows", "nvfp4/cols")
+    assert traces[1].kind is GemmKind.WGRAD
 
 
 def test_fprop_trace_keeps_each_operands_stats():
@@ -301,8 +343,8 @@ def test_fprop_trace_keeps_each_operands_stats():
     _, ctx = forward(layer, x, PrecisionPolicy(), step=0)
     w_t = layer.weights.T
     assert ctx.trace.stats == {
-        "input": quantization_stats(x, quantize(x, NVFP4, rows1d(16))),
-        "weight": quantization_stats(w_t, quantize(w_t, NVFP4, square2d())),
+        "activations": quantization_stats(x, quantize(x, NVFP4, rows1d(16))),
+        "weights": quantization_stats(w_t, quantize(w_t, NVFP4, square2d())),
     }
 
 
@@ -324,12 +366,10 @@ def test_stats_off_keeps_no_trace(monkeypatch):
 @pytest.mark.parametrize("weight_layout", [square2d(), rows1d(16)])
 def test_traces_follow_the_operand_table(monkeypatch, weight_layout):
     # Every operand of the three GEMMs, with every role rounding
-    # stochastically: its trace name, its layout (rows on the left, columns
-    # on the right, the weight layout for weights) and its stream tag.
-    tags = []
-    real = linear_module.quantize
-    monkeypatch.setattr(linear_module, "quantize", lambda x, fmt, layout, mode:
-                        tags.append(mode.key_parts[-1]) or real(x, fmt, layout, mode))
+    # stochastically: its role, its layout (rows on the left, columns on the
+    # right, the weight layout for weights) and its stream tag.
+    quantized, gemms = _record_operands(monkeypatch)
+    views = _record_views(monkeypatch)
     rng = np.random.default_rng(17)
     layer = _layer(rng, 16, 16)
     pol = PrecisionPolicy(rht_gemms=frozenset(), weight_layout=weight_layout,
@@ -338,17 +378,17 @@ def test_traces_follow_the_operand_table(monkeypatch, weight_layout):
     _, _, (dgrad, wgrad) = backward(ctx, rng.standard_normal((16, 16)))
     square = weight_layout.kind == "square"
     w_layout = "nvfp4/square" if square else "nvfp4/cols"
-    assert ctx.trace.layouts == {"input": "nvfp4/rows", "weight": w_layout}
-    assert dgrad.layouts == {"grad_out": "nvfp4/rows", "weight": w_layout}
-    assert wgrad.layouts == {"grad_out": "nvfp4/rows", "input": "nvfp4/cols"}
-    for tr in (ctx.trace, dgrad, wgrad):
-        assert set(tr.stats) == set(tr.layouts)
-    assert ctx.trace.rounding == {"input": "Stochastic", "weight": "Stochastic"}
-    assert wgrad.rounding == {"grad_out": "Stochastic", "input": "Stochastic"}
+    assert gemms == [("nvfp4/rows", w_layout), ("nvfp4/rows", w_layout),
+                     ("nvfp4/rows", "nvfp4/cols")]
+    assert set(ctx.trace.stats) == {"activations", "weights"}
+    assert set(dgrad.stats) == {"gradients", "weights"}
+    assert set(wgrad.stats) == {"gradients", "activations"}
+    assert {mode for _, mode, _ in quantized} == {"Stochastic"}
     # square tiles: Dgrad reads a view of the forward encoding, which Fprop
     # rounded stochastically
-    assert dgrad.rounding == {"grad_out": "Stochastic", "weight": "Stochastic"}
-    assert dgrad.consistent_weights is (True if square else None)
+    assert views == ([ctx.qweight] if square else [])
+    assert ctx.dgrad_consistent is (True if square else None)
+    tags = [tag for _, _, tag in quantized]
     assert tags == ["fprop/x", "fprop/w", "dgrad/dy",
                     *([] if square else ["dgrad/w"]), "wgrad/dy", "wgrad/x"]
 
@@ -364,7 +404,8 @@ def test_policy_validation():
         PrecisionPolicy(fmt=MXFP4, weight_layout=square2d())
 
 
-def test_mxfp4_policy_runs():
+def test_mxfp4_policy_runs(monkeypatch):
+    _, gemms = _record_operands(monkeypatch)
     rng = np.random.default_rng(15)
     layer = _layer(rng, 16, 32)
     x = rng.standard_normal((8, 32))
@@ -376,7 +417,7 @@ def test_mxfp4_policy_runs():
     assert np.isfinite(y).all()
     dx, dW, traces = backward(ctx, rng.standard_normal((8, 16)))
     assert dx.shape == (8, 32) and dW.shape == (16, 32)
-    assert traces[0].layouts["weight"] == "mxfp4/cols"
+    assert traces[0].kind is GemmKind.DGRAD and gemms[1][1] == "mxfp4/cols"
 
 
 def test_layer_weights_must_be_2d():
@@ -404,8 +445,8 @@ def test_dgrad_reuse_decodes_nothing_for_the_consistency_check(monkeypatch):
     layer = _layer(rng, 16, 16)
     _, ctx = forward(layer, rng.standard_normal((8, 16)), PrecisionPolicy())
     assert ctx.qweight is not None
-    _, _, traces = backward(ctx, rng.standard_normal((8, 16)))
-    assert traces[0].consistent_weights is True
+    assert ctx.dgrad_consistent is True
+    backward(ctx, rng.standard_normal((8, 16)))
     assert calls == []
 
 

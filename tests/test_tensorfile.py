@@ -381,6 +381,38 @@ def test_corrupt_container_rejected_naming_field(tmp_path, name, blob, names):
         read_tensor(p)
 
 
+def _poke_code(blob, index, code):
+    """blob with the code at row-major flat index of the padded code array
+    replaced (two codes per byte, low nibble first)."""
+    b = bytearray(blob)
+    off = 36 + index // 2
+    b[off] = (b[off] & 0xF0 | code) if index % 2 == 0 else (b[off] & 0x0F | code << 4)
+    return b
+
+
+@pytest.mark.parametrize("layout,shape,pokes,first", [
+    # 4x20 rows16 pads to 4x32: (0, 25) is right of the tensor
+    (rows1d(16), (4, 20), [(0, 25)], 25),
+    # 20x3 cols16 pads to 32x3: (25, 0) is below it
+    (cols1d(16), (20, 3), [(25, 0)], 75),
+    # the first in row-major order is named, right of the tensor or below it
+    (rows1d(16), (20, 20), [(19, 31), (3, 20), (17, 4)], 3 * 32 + 20),
+])
+def test_nonzero_padding_code_rejected(tmp_path, layout, shape, pokes, first):
+    # such a container used to read cleanly and dequantize to its values,
+    # while scaled_gemm, which contracts over the padded blocks, was off
+    blob, q = _container(NVFP4, layout, shape)
+    width = q.codes.shape[1]
+    for r, c in pokes:
+        blob = _poke_code(blob, r * width + c, 7)
+    p = str(tmp_path / "pad.fp4t")
+    with open(p, "wb") as f:
+        f.write(blob)
+    with pytest.raises(TensorFileError, match=re.escape(
+            f"zero padding at byte offset {36 + first // 2}")):
+        read_tensor(p)
+
+
 def test_largest_encoded_tensor_scale_reads_back(tmp_path):
     # amax = the largest float64 gives the largest tensor scale the encoder
     # writes; its 6 * 448 * s_dec is still finite, so the reader accepts it
